@@ -171,7 +171,6 @@ SaturateResult run_saturate(bool smoke) {
   using namespace std::chrono_literals;
   runtime::ThreadedClusterConfig config;
   config.gc_period = 10ms;
-  config.serialize_messages = true;
   runtime::ThreadedCluster cluster(
       erasure::make_six_dc_cross_object(kSatValueBytes), config);
   const std::size_t n = cluster.num_servers();

@@ -17,9 +17,21 @@ namespace {
 /// never collide with client-generated opids.
 constexpr OpId kInternalOpidBase = OpId{1} << 63;
 
-/// Opid range skipped per restore so post-restart internal reads can never
-/// collide with pre-crash reads whose responses are still in flight.
+/// Opid range skipped per restore, after the WAL replay, so post-restart
+/// internal reads can never collide with pre-crash reads whose responses
+/// are still in flight. Replay itself reuses the journaled opids: the
+/// responses in the WAL must find the reads they answered.
 constexpr std::uint64_t kOpidRecoverySkip = std::uint64_t{1} << 20;
+
+/// True when a response echoes `read`'s own inquiry. Opids alone do not
+/// identify a read across a WAL replay: timer-driven work that is not
+/// journaled can shift the internal-opid counter, handing a journaled
+/// response's opid to a different replayed read (DESIGN.md §9).
+bool answers(const PendingRead& read, ClientId client, ObjectId object,
+             const TagVector& requested) {
+  return read.client == client && read.object == object &&
+         read.requested == requested;
+}
 
 /// Wall-clock nanoseconds for the per-phase latency histograms. Phase
 /// durations are real elapsed time on both runtimes (simulated time never
@@ -423,8 +435,11 @@ void Server::handle_val_inq(NodeId from, const ValInqMessage& msg) {
 void Server::handle_val_resp(NodeId from, const ValRespMessage& msg) {
   (void)from;
   PendingRead* read = reads_.find(msg.opid);
-  if (read == nullptr) return;  // already served
-  CEC_DCHECK(read->client == msg.client && read->object == msg.object);
+  // Already served, or another read holding the same opid after a replay.
+  if (read == nullptr ||
+      !answers(*read, msg.client, msg.object, msg.requested)) {
+    return;
+  }
   complete_pending_read(*read, msg.value, msg.requested[msg.object]);
   reads_.remove(msg.opid);
 }
@@ -432,8 +447,11 @@ void Server::handle_val_resp(NodeId from, const ValRespMessage& msg) {
 void Server::handle_val_resp_encoded(NodeId from,
                                      const ValRespEncodedMessage& msg) {
   PendingRead* read = reads_.find(msg.opid);
-  if (read == nullptr) return;  // already served
-  CEC_DCHECK(read->client == msg.client && read->object == msg.object);
+  // Already served, or another read holding the same opid after a replay.
+  if (read == nullptr ||
+      !answers(*read, msg.client, msg.object, msg.requested)) {
+    return;
+  }
 
   // Alg. 2 lines 15-27: re-encode the sender's symbol to the requested
   // versions using *our* history list. The symbol lives in the sender's
@@ -753,7 +771,7 @@ void Server::restore_image(const persist::ServerImage* image) {
   recovering_ = false;
   if (recovery_epoch_ == 0) recovery_epoch_ = 1;  // arm the stale-app guard
 
-  std::uint64_t counter_base = 0;
+  internal_opid_counter_ = 0;
   if (image != nullptr) {
     CEC_CHECK_MSG(image->node == id_ && image->num_servers == n_ &&
                       image->num_objects == k_ &&
@@ -764,7 +782,7 @@ void Server::restore_image(const persist::ServerImage* image) {
     m_tags_ = image->m_tags;
     tmax_ = image->tmax;
     last_del_broadcast_all_ = image->last_del_broadcast_all;
-    counter_base = image->internal_opid_counter;
+    internal_opid_counter_ = image->internal_opid_counter;
     for (const auto& e : image->history) {
       lists_[e.object].insert(e.tag, e.value);
     }
@@ -773,7 +791,6 @@ void Server::restore_image(const persist::ServerImage* image) {
       inqueue_.insert(InQueue::Entry{e.origin, e.object, e.value, e.tag});
     }
   }
-  internal_opid_counter_ = counter_base + kOpidRecoverySkip;
 }
 
 void Server::restore_from_journal(const persist::RecoveredState& recovered) {
@@ -795,7 +812,10 @@ void Server::restore_from_journal(const persist::RecoveredState& recovered) {
   end_restore();
 }
 
-void Server::end_restore() { reads_ = ReadList{}; }
+void Server::end_restore() {
+  reads_ = ReadList{};
+  internal_opid_counter_ += kOpidRecoverySkip;
+}
 
 void Server::set_peer_down(NodeId peer, bool down) {
   CEC_CHECK(peer < n_);

@@ -157,7 +157,8 @@ class Server final : public sim::Actor {
   void restore_from_journal(const persist::RecoveredState& recovered);
 
   /// Closes the replay window: drops reads registered during replay (their
-  /// inquiries were muted; the Encoding action re-issues what it needs).
+  /// inquiries were muted; the Encoding action re-issues what it needs) and
+  /// moves internal opids past any the pre-crash run may still hear about.
   void end_restore();
 
   /// Journal to record accepted writes and dispatched messages into; null

@@ -132,21 +132,18 @@ void PeerLink::retry_later() {
   loop_->schedule_after(kReconnectDelay, [this] { dial(); });
 }
 
-NetTransport::NetTransport(
-    std::vector<PeerLink*> links,
-    std::function<void(SimTime, std::function<void()>)> post_timer)
-    : links_(std::move(links)), post_timer_(std::move(post_timer)) {}
+NetTransport::NetTransport(std::vector<PeerLink*> links)
+    : links_(std::move(links)) {}
 
-void NetTransport::send(NodeId to, sim::MessagePtr message) {
-  if (muted_) return;
+void NetTransport::send(NodeId /*from*/, NodeId to, sim::MessagePtr message) {
   CEC_CHECK(to < links_.size() && links_[to] != nullptr);
   links_[to]->send_frame(
       encode_frame(causalec::serialize_message_frame(*message).span()));
 }
 
-void NetTransport::multicast(std::span<const NodeId> targets,
+void NetTransport::multicast(NodeId /*from*/, std::span<const NodeId> targets,
                              const std::function<sim::MessagePtr()>& make) {
-  if (muted_ || targets.empty()) return;
+  if (targets.empty()) return;
   // Serialize once; every destination link queues the same frame arena.
   const sim::MessagePtr message = make();
   const erasure::Buffer frame =
@@ -155,16 +152,6 @@ void NetTransport::multicast(std::span<const NodeId> targets,
     CEC_CHECK(to < links_.size() && links_[to] != nullptr);
     links_[to]->send_frame(frame);
   }
-}
-
-void NetTransport::schedule_after(SimTime delta, std::function<void()> fn) {
-  post_timer_(delta, std::move(fn));
-}
-
-SimTime NetTransport::now() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace causalec::net

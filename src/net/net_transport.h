@@ -29,6 +29,7 @@
 #include "erasure/buffer.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
+#include "runtime/automaton_host.h"
 
 namespace causalec::net {
 
@@ -80,33 +81,21 @@ class PeerLink {
   bool shutdown_ = false;
 };
 
-/// Transport implementation handed to the Server automaton. send/multicast
-/// serialize through the codec, wrap the bytes in one frame arena
-/// (serialize once, share everywhere), and queue on the per-peer links.
-/// schedule_after/now are delegated to the automaton thread's timer queue
-/// (the Server only ever calls them from its own thread).
-class NetTransport final : public causalec::Transport {
+/// The automaton's outbound side over TCP (runtime::AutomatonHost hosts the
+/// automaton and owns its timers and muting). send/multicast serialize
+/// through the codec, wrap the bytes in one frame arena (serialize once,
+/// share everywhere), and queue on the per-peer links.
+class NetTransport final : public runtime::Outbound {
  public:
   /// `links[j]` is the link to node j (null at the self index).
-  /// `post_timer` must enqueue the callback on the automaton thread.
-  NetTransport(
-      std::vector<PeerLink*> links,
-      std::function<void(SimTime delta_ns, std::function<void()>)> post_timer);
+  explicit NetTransport(std::vector<PeerLink*> links);
 
-  void send(NodeId to, sim::MessagePtr message) override;
-  void multicast(std::span<const NodeId> targets,
+  void send(NodeId from, NodeId to, sim::MessagePtr message) override;
+  void multicast(NodeId from, std::span<const NodeId> targets,
                  const std::function<sim::MessagePtr()>& make) override;
-  void schedule_after(SimTime delta, std::function<void()> fn) override;
-  SimTime now() const override;
-
-  /// Muted during WAL replay (restore_from_journal re-runs handlers whose
-  /// sends already reached the network before the crash).
-  void set_muted(bool muted) { muted_ = muted; }
 
  private:
   std::vector<PeerLink*> links_;
-  std::function<void(SimTime, std::function<void()>)> post_timer_;
-  bool muted_ = false;
 };
 
 }  // namespace causalec::net

@@ -1,9 +1,7 @@
 #include "net/node_daemon.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "causalec/codec.h"
 #include "common/expect.h"
 #include "common/logging.h"
 #include "net/frame.h"
@@ -30,7 +28,7 @@ NodeDaemon::NodeDaemon(erasure::CodePtr code, NodeDaemonConfig config)
     shard->loop = std::make_unique<EventLoop>();
     shards_.push_back(std::move(shard));
   }
-  link_ptrs_.assign(n, nullptr);
+  std::vector<PeerLink*> link_ptrs(n, nullptr);  // indexed by NodeId
   for (NodeId peer = 0; peer < n; ++peer) {
     if (peer == config_.node) continue;
     const auto addr = parse_host_port(config_.peers[peer]);
@@ -41,17 +39,20 @@ NodeDaemon::NodeDaemon(erasure::CodePtr code, NodeDaemonConfig config)
         loop, config_.node, peer, addr->first, addr->second,
         [this](NodeId who, bool down) {
           // Loop thread -> automaton thread.
-          post_task([this, who, down] { server_->set_peer_down(who, down); });
+          host_->post([this, who, down] { server().set_peer_down(who, down); });
         }));
-    link_ptrs_[peer] = links_.back().get();
+    link_ptrs[peer] = links_.back().get();
   }
-  transport_ = std::make_unique<NetTransport>(
-      link_ptrs_, [this](SimTime delta_ns, std::function<void()> fn) {
-        post_timer(delta_ns, std::move(fn));
-      });
-  server_ = std::make_unique<causalec::Server>(config_.node, code_,
-                                               config_.server,
-                                               transport_.get());
+  transport_ = std::make_unique<NetTransport>(std::move(link_ptrs));
+  runtime::AutomatonHostOptions options;
+  options.gc_period = config_.gc_period;
+  options.snapshot_period = config_.snapshot_period;
+  options.malformed = runtime::MalformedFrame::kDrop;
+  // The batch may have advanced the clock (applied writes, anti-entropy).
+  options.after_batch = [this] { retry_parked(); };
+  host_ = std::make_unique<runtime::AutomatonHost>(
+      config_.node, code_, config_.server, transport_.get(),
+      std::move(options));
   // Seed the opid counter from wall-clock seconds (see header); the mask
   // keeps bit 63 clear past 2038.
   const auto secs = std::chrono::duration_cast<std::chrono::seconds>(
@@ -89,16 +90,11 @@ void NodeDaemon::start() {
     backend_ = std::make_unique<persist::DirBackend>(config_.data_dir);
     journal_ = std::make_unique<persist::Journal>(
         backend_.get(), "s" + std::to_string(config_.node));
-    server_->attach_journal(journal_.get());
+    host_->attach_journal(journal_.get());
     const persist::RecoveredState recovered = journal_->load();
     if (recovered.image.has_value() || !recovered.wal.empty()) {
       recovered_ = true;
-      transport_->set_muted(true);
-      server_->restore_from_journal(recovered);
-      // Checkpoint the replayed state so a second crash before the next
-      // snapshot timer does not replay the whole WAL again.
-      journal_->save_snapshot(server_->capture_image());
-      transport_->set_muted(false);
+      host_->restore(recovered);
       CEC_LOG(kInfo) << "net: node " << config_.node
                      << " restored durable state from " << config_.data_dir;
     }
@@ -116,13 +112,10 @@ void NodeDaemon::start() {
                      [this, s](std::uint32_t) { accept_ready(s); });
     });
   }
-  automaton_ = std::thread([this] { run_automaton(); });
+  // A restored automaton's first task is the rejoin digest; frames to
+  // still-dialing peers queue in the PeerLink start-up grace window.
+  host_->start();
   for (auto& link : links_) link->start();
-  // The rejoin digest goes out as the automaton's first real work; frames
-  // to still-dialing peers queue in the PeerLink start-up grace window.
-  if (recovered_) {
-    post_task([this] { server_->begin_rejoin(); });
-  }
   ready_.store(true, std::memory_order_release);
 }
 
@@ -133,12 +126,7 @@ void NodeDaemon::stop() {
   // automaton sends to dead loops become no-op posts.
   for (auto& link : links_) link->shutdown();
   for (auto& shard : shards_) shard->loop->stop();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (automaton_.joinable()) automaton_.join();
+  host_->stop();
   started_ = false;
 }
 
@@ -192,7 +180,7 @@ void NodeDaemon::handle_inbound_frame(
       // A CausalEC protocol frame: attribute it to the channel's node and
       // hand the still-serialized bytes to the automaton (deserialization
       // happens there, aliasing this frame's arena).
-      enqueue_frame(state->peer_node, std::move(payload));
+      host_->deliver(state->peer_node, std::move(payload));
       return;
     }
     CEC_LOG(kWarn) << "net: peer " << state->peer_node
@@ -219,7 +207,7 @@ void NodeDaemon::handle_inbound_frame(
         break;
       }
       state->shard->client_ops.fetch_add(1, std::memory_order_relaxed);
-      post_task([this, req = std::move(*req), conn]() mutable {
+      host_->post([this, req = std::move(*req), conn]() mutable {
         handle_write_req(std::move(req), conn);
       });
       return;
@@ -229,12 +217,12 @@ void NodeDaemon::handle_inbound_frame(
       if (!req.has_value()) break;
       if (req->object >= code_->num_objects()) break;
       state->shard->client_ops.fetch_add(1, std::memory_order_relaxed);
-      post_task([this, req = *req, conn] { handle_read_req(req, conn); });
+      host_->post([this, req = *req, conn] { handle_read_req(req, conn); });
       return;
     }
     case ClientMsgType::kStatsReq: {
       if (!decode_stats_req(std::move(payload))) break;
-      post_task([this, conn] { handle_stats_req(conn); });
+      host_->post([this, conn] { handle_stats_req(conn); });
       return;
     }
     case ClientMsgType::kRoutedWriteReq: {
@@ -256,7 +244,7 @@ void NodeDaemon::handle_inbound_frame(
       op.frontier = std::move(req->frontier);
       op.value = std::move(req->value);
       op.conn = conn;
-      post_task([this, op = std::move(op)]() mutable {
+      host_->post([this, op = std::move(op)]() mutable {
         handle_routed_op(std::move(op));
       });
       return;
@@ -278,7 +266,7 @@ void NodeDaemon::handle_inbound_frame(
       op.object = req->object;
       op.frontier = std::move(req->frontier);
       op.conn = conn;
-      post_task([this, op = std::move(op)]() mutable {
+      host_->post([this, op = std::move(op)]() mutable {
         handle_routed_op(std::move(op));
       });
       return;
@@ -292,54 +280,25 @@ void NodeDaemon::handle_inbound_frame(
   conn->close();
 }
 
-void NodeDaemon::post_task(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    tasks_.push_back(std::move(task));
-  }
-  cv_.notify_all();
-}
-
-void NodeDaemon::enqueue_frame(NodeId from, erasure::Buffer frame) {
-  {
-    std::lock_guard<std::mutex> lock(inbox_mu_);
-    inbox_.push_back(Inbound{from, std::move(frame)});
-    inbox_ready_.store(true, std::memory_order_release);
-  }
-  // Empty lock_guard fences against the lost-wakeup race (see
-  // runtime/threaded_cluster.cpp).
-  { std::lock_guard<std::mutex> lock(mu_); }
-  cv_.notify_all();
-}
-
-void NodeDaemon::post_timer(SimTime delta_ns, std::function<void()> fn) {
-  // Only ever called from the automaton thread (all server execution is
-  // marshalled there) or from start() while it is not yet running, so the
-  // timer list needs no locking.
-  timers_.push_back(
-      {Clock::now() + std::chrono::nanoseconds(delta_ns), std::move(fn)});
-}
-
 OpId NodeDaemon::next_daemon_opid() { return opid_counter_++; }
 
 void NodeDaemon::handle_write_req(WriteReq req,
                                   std::shared_ptr<Connection> conn) {
   const OpId opid = next_daemon_opid();
   const Tag tag =
-      server_->client_write(req.client, opid, req.object,
+      server().client_write(req.client, opid, req.object,
                             std::move(req.value));
   WriteResp resp;
   resp.opid = req.opid;
   resp.tag = tag;
-  resp.vc = server_->clock();
+  resp.vc = server().clock();
   conn->send(encode_frame(encode_write_resp(resp)));
 }
 
 void NodeDaemon::handle_read_req(ReadReq req,
                                  std::shared_ptr<Connection> conn) {
   const OpId opid = next_daemon_opid();
-  server_->client_read(
+  server().client_read(
       req.client, opid, req.object,
       // The callback fires on the automaton thread (possibly inline); a
       // connection that died meanwhile just drops the response.
@@ -357,7 +316,7 @@ void NodeDaemon::handle_read_req(ReadReq req,
 
 bool NodeDaemon::frontier_satisfied(const VectorClock& frontier) const {
   if (frontier.size() == 0) return true;  // fresh session, no constraint
-  return frontier.leq(server_->clock());
+  return frontier.leq(server().clock());
 }
 
 void NodeDaemon::handle_routed_op(ParkedOp op) {
@@ -421,12 +380,12 @@ void NodeDaemon::retry_parked() {
 void NodeDaemon::handle_stats_req(std::shared_ptr<Connection> conn) {
   StatsResp s;
   s.node = config_.node;
-  s.vc = server_->clock();
-  const StorageStats st = server_->storage();
+  s.vc = server().clock();
+  const StorageStats st = server().storage();
   s.history_entries = st.history_entries;
   s.inqueue_entries = st.inqueue_entries;
   s.readl_entries = st.readl_entries;
-  const ServerCounters& c = server_->counters();
+  const ServerCounters& c = server().counters();
   s.writes = c.writes;
   s.reads = c.reads;
   s.error_events = c.error1_events + c.error2_events;
@@ -436,81 +395,6 @@ void NodeDaemon::handle_stats_req(std::shared_ptr<Connection> conn) {
     s.shard_ops.push_back(shard->client_ops.load(std::memory_order_relaxed));
   }
   conn->send(encode_frame(encode_stats_resp(s)));
-}
-
-void NodeDaemon::run_automaton() {
-  set_log_thread_node(static_cast<int>(config_.node));
-  // Automaton-local arena recycling: deserialized payloads and re-encode
-  // scratch all allocate on this thread, so one pool captures the daemon's
-  // entire data-path allocation traffic.
-  erasure::BufferPool buffer_pool;
-  erasure::BufferPool::ScopedInstall pool_installed(buffer_pool);
-  auto next_gc = Clock::now() + config_.gc_period;
-  auto next_snapshot = Clock::now() + config_.snapshot_period;
-  while (true) {
-    std::deque<std::function<void()>> batch;
-    std::vector<Inbound> inbound;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      auto deadline = next_gc;
-      if (journal_ != nullptr) deadline = std::min(deadline, next_snapshot);
-      for (const auto& timer : timers_) {
-        deadline = std::min(deadline, timer.at);
-      }
-      cv_.wait_until(lock, deadline, [this] {
-        return stop_ || !tasks_.empty() ||
-               inbox_ready_.load(std::memory_order_acquire);
-      });
-      if (stop_) return;
-      batch.swap(tasks_);
-    }
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbound.swap(inbox_);
-      inbox_ready_.store(false, std::memory_order_release);
-    }
-    for (auto& task : batch) task();
-    if (!inbound.empty()) {
-      for (Inbound& in : inbound) {
-        std::string error;
-        sim::MessagePtr message =
-            try_deserialize_message(std::move(in.frame), &error);
-        if (message == nullptr) {
-          // Remote bytes are untrusted: malformed protocol frames are
-          // dropped, never fatal.
-          CEC_LOG(kWarn) << "net: dropping malformed frame from node "
-                         << in.from << ": " << error;
-          continue;
-        }
-        server_->dispatch_message(in.from, std::move(message));
-      }
-      // One Apply/Encoding fixpoint for the whole batch.
-      server_->run_internal_actions();
-    }
-    // The batch may have advanced the clock (applied writes, anti-entropy):
-    // parked routed requests get one retry per loop iteration, and the
-    // cv wait above never sleeps longer than gc_period, so the serve
-    // latency after the frontier is reached is bounded by that period.
-    retry_parked();
-    const auto now = Clock::now();
-    for (std::size_t i = 0; i < timers_.size();) {
-      if (timers_[i].at <= now) {
-        auto fn = std::move(timers_[i].fn);
-        timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-        fn();
-      } else {
-        ++i;
-      }
-    }
-    if (now >= next_gc) {
-      server_->run_garbage_collection();
-      next_gc = now + config_.gc_period;
-    }
-    if (journal_ != nullptr && now >= next_snapshot) {
-      journal_->save_snapshot(server_->capture_image());
-      next_snapshot = now + config_.snapshot_period;
-    }
-  }
 }
 
 }  // namespace causalec::net

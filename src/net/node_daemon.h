@@ -8,27 +8,24 @@
 //     shards) plus the outbound peer links assigned to it. Shard threads
 //     do all socket IO and all frame reassembly/deserialization-adjacent
 //     work that can happen off the automaton;
-//   * one automaton thread hosting the single-threaded Server, fed by the
-//     same two-lock swap-and-drain MPSC inbox as runtime/threaded_cluster
-//     (batch dispatch + one Apply/Encoding fixpoint per batch), plus
-//     wall-clock GC and snapshot timers.
+//   * one runtime::AutomatonHost thread hosting the single-threaded
+//     Server: shard threads hand it peer frames (dropped, not fatal, when
+//     malformed) and client requests as tasks; after every drain it
+//     retries the parked routed requests.
 //
 // Durability: a non-empty data_dir attaches a persist::DirBackend journal;
 // on start, existing durable state is restored with the transport muted
-// and an anti-entropy rejoin round (DESIGN.md §9) is posted as the
-// automaton's first task -- the digest frames queue on the still-dialing
-// peer links, so SIGKILL + exec restart converges without coordination.
+// and an anti-entropy rejoin round (DESIGN.md §9) runs as the automaton's
+// first task -- the digest frames queue on the still-dialing peer links,
+// so SIGKILL + exec restart converges without coordination.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "causalec/config.h"
@@ -41,6 +38,7 @@
 #include "net/net_transport.h"
 #include "persist/backend.h"
 #include "persist/journal.h"
+#include "runtime/automaton_host.h"
 
 namespace causalec::net {
 
@@ -108,16 +106,10 @@ class NodeDaemon {
     Shard* shard = nullptr;
   };
 
-  /// One frame from a peer server, bound for the automaton inbox.
-  struct Inbound {
-    NodeId from;
-    erasure::Buffer frame;
-  };
-
   /// A routed request waiting for the server clock to reach its session
-  /// frontier (automaton thread only). The automaton loop wakes at least
-  /// every gc_period, so the retry latency after the clock advances is
-  /// bounded by that period.
+  /// frontier (automaton thread only). The host wakes at least every
+  /// gc_period and retries after every drain, so the retry latency after
+  /// the clock advances is bounded by that period.
   struct ParkedOp {
     bool is_write = false;
     OpId opid = 0;  // client correlation id
@@ -135,11 +127,9 @@ class NodeDaemon {
                             const std::shared_ptr<Connection>& conn,
                             erasure::Buffer payload);
 
-  // Automaton-side plumbing.
-  void post_task(std::function<void()> task);
-  void enqueue_frame(NodeId from, erasure::Buffer frame);
-  void post_timer(SimTime delta_ns, std::function<void()> fn);
-  void run_automaton();
+  // Automaton-side plumbing (automaton thread only).
+  causalec::Server& server() { return host_->server(); }
+  const causalec::Server& server() const { return host_->server(); }
   void handle_write_req(WriteReq req, std::shared_ptr<Connection> conn);
   void handle_read_req(ReadReq req, std::shared_ptr<Connection> conn);
   void handle_stats_req(std::shared_ptr<Connection> conn);
@@ -159,28 +149,13 @@ class NodeDaemon {
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<PeerLink>> links_;
-  std::vector<PeerLink*> link_ptrs_;  // indexed by NodeId; self = null
   std::unique_ptr<NetTransport> transport_;
-  std::unique_ptr<causalec::Server> server_;
+  std::unique_ptr<runtime::AutomatonHost> host_;
 
   std::unique_ptr<persist::DirBackend> backend_;
   std::unique_ptr<persist::Journal> journal_;
   bool recovered_ = false;
 
-  // Automaton thread state (the threaded_cluster Node pattern).
-  std::thread automaton_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool stop_ = false;
-  std::mutex inbox_mu_;
-  std::vector<Inbound> inbox_;
-  std::atomic<bool> inbox_ready_{false};
-  struct Timer {
-    std::chrono::steady_clock::time_point at;
-    std::function<void()> fn;
-  };
-  std::vector<Timer> timers_;  // automaton thread only (+ pre-start)
   std::deque<ParkedOp> parked_;  // automaton thread only
 
   std::atomic<bool> ready_{false};

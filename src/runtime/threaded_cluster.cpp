@@ -1,14 +1,10 @@
 #include "runtime/threaded_cluster.h"
 
-#include <atomic>
-#include <deque>
 #include <future>
+#include <thread>
 
 #include "causalec/codec.h"
 #include "common/expect.h"
-#include "erasure/buffer.h"
-#include "common/logging.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -26,316 +22,6 @@ SimTime to_ns(Clock::time_point tp) {
 
 }  // namespace
 
-/// One server node: an OS thread draining a FIFO mailbox of tasks and a
-/// separate inbound-message inbox, firing wall-clock timers, and running
-/// periodic garbage collection.
-///
-/// The inbox is a two-lock swap-and-drain MPSC queue: producers append raw
-/// frames under `inbox_mu_` (no closure allocation, no contention with the
-/// consumer's wait mutex), the node thread swaps the whole batch out under
-/// one lock acquisition, dispatches every message, and runs the
-/// Apply/Encoding fixpoint once per batch instead of once per message.
-class ThreadedCluster::Node {
- public:
-  Node(NodeId id, erasure::CodePtr code, const ThreadedClusterConfig& config,
-       ThreadedCluster* cluster)
-      : id_(id),
-        config_(&config),
-        cluster_(cluster),
-        transport_(this),
-        server_(id, std::move(code), config.server, &transport_) {
-    if (obs::MetricsRegistry* metrics = config.obs.metrics) {
-      m_queue_wait_ = &metrics->histogram("phase.queue_wait_ns");
-      m_deserialize_ = &metrics->histogram("phase.deserialize_ns");
-      m_mailbox_depth_ =
-          &metrics->gauge("runtime.mailbox_depth.s" + std::to_string(id));
-    }
-  }
-
-  void start() { thread_ = std::thread([this] { run(); }); }
-
-  void stop() {
-    accepting_.store(false, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  void attach_journal(persist::Journal* journal) {
-    journal_ = journal;
-    server_.attach_journal(journal);
-  }
-
-  bool accepting() const {
-    return accepting_.load(std::memory_order_acquire);
-  }
-
-  /// Recover the node from its journal and restart its thread. Only legal
-  /// while the thread is stopped: the snapshot + WAL replay runs on the
-  /// caller's thread (safe -- the automaton has no other thread), the
-  /// pre-crash mailbox/tasks/timers are discarded, and the rejoin round is
-  /// posted as the restarted thread's first task.
-  void recover_and_restart() {
-    CEC_CHECK(!thread_.joinable());
-    CEC_CHECK(journal_ != nullptr);
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbox_.clear();
-      inbox_ready_.store(false, std::memory_order_release);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tasks_.clear();
-      stop_ = false;
-    }
-    timers_.clear();
-    muted_ = true;
-    // Post-mortem: dump the last protocol events the node recorded before
-    // its crash, before journal replay starts reusing the ring.
-    obs::log_flight_tail(static_cast<int>(id_), server_.flight_recorder());
-    server_.restore_from_journal(journal_->load());
-    // Checkpoint the replayed state so a second crash before the next
-    // snapshot timer does not replay the whole WAL again.
-    journal_->save_snapshot(server_.capture_image());
-    muted_ = false;
-    accepting_.store(true, std::memory_order_release);
-    thread_ = std::thread([this] { run(); });
-    post([this] { server_.begin_rejoin(); });
-  }
-
-  /// Enqueue a task for the node thread (any thread may call).
-  void post(std::function<void()> task) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stop_) return;
-      tasks_.push_back(std::move(task));
-    }
-    cv_.notify_all();
-  }
-
-  /// Run `fn` on the node thread and wait for its result.
-  template <typename Fn>
-  auto call(Fn&& fn) -> decltype(fn()) {
-    using Result = decltype(fn());
-    std::promise<Result> promise;
-    auto future = promise.get_future();
-    post([&promise, fn = std::forward<Fn>(fn)]() mutable {
-      promise.set_value(fn());
-    });
-    return future.get();
-  }
-
-  Server& server() { return server_; }
-
-  /// Called by peers' transports: deliver a serialized frame from `from`.
-  /// A broadcast passes the same Buffer to every destination, sharing the
-  /// arena; deserialization happens on the node thread and its payloads
-  /// alias the frame.
-  void deliver_frame(NodeId from, erasure::Buffer frame) {
-    enqueue(Inbound{from, std::move(frame), nullptr, Clock::now()});
-  }
-
-  void deliver_direct(NodeId from, sim::MessagePtr message) {
-    enqueue(Inbound{from, {}, std::move(message), Clock::now()});
-  }
-
- private:
-  /// One inbound network message, either still-serialized (`frame`) or an
-  /// in-memory object (`message`, when serialize_messages = false).
-  struct Inbound {
-    NodeId from;
-    erasure::Buffer frame;
-    sim::MessagePtr message;
-    Clock::time_point enqueued_at;  // mailbox queue-wait measurement
-  };
-
-  class NodeTransport final : public Transport {
-   public:
-    explicit NodeTransport(Node* node) : node_(node) {}
-
-    void send(NodeId to, sim::MessagePtr message) override {
-      // Muted during WAL replay: the replayed handlers re-run their sends,
-      // which already reached the network before the crash.
-      if (node_->muted_) return;
-      node_->cluster_->route(node_->id_, to, std::move(message));
-    }
-
-    void multicast(std::span<const NodeId> targets,
-                   const std::function<sim::MessagePtr()>& make) override {
-      if (node_->muted_) return;
-      node_->cluster_->multicast_route(node_->id_, targets, make);
-    }
-
-    void schedule_after(SimTime delta_ns,
-                        std::function<void()> fn) override {
-      // Only ever called from the node's own thread (all server execution
-      // is marshalled there) or from recover_and_restart() while the
-      // thread is down, so the timer list needs no locking.
-      node_->timers_.push_back(
-          {Clock::now() + std::chrono::nanoseconds(delta_ns),
-           std::move(fn)});
-    }
-
-    SimTime now() const override { return to_ns(Clock::now()); }
-
-   private:
-    Node* node_;
-  };
-
-  /// Producer side of the inbox. The data lock (`inbox_mu_`) is disjoint
-  /// from the consumer's wait lock (`mu_`); the empty lock_guard on `mu_`
-  /// fences against the lost-wakeup race (the consumer either sees
-  /// `inbox_ready_` in its predicate or is already waiting when we
-  /// notify).
-  void enqueue(Inbound in) {
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      inbox_.push_back(std::move(in));
-      inbox_ready_.store(true, std::memory_order_release);
-    }
-    { std::lock_guard<std::mutex> lock(mu_); }
-    cv_.notify_all();
-  }
-
-  void trace_deliver(NodeId from, const sim::Message& message) {
-    if (obs::Tracer* tracer = config_->obs.tracer) {
-      const SimTime now_ns = to_ns(Clock::now());
-      tracer->instant("msg.deliver", id_, now_ns,
-                      {{"from", std::uint64_t{from}},
-                       {"type", message.type_name()},
-                       {"bytes", std::uint64_t{message.wire_bytes()}}});
-      if (message.trace.traced()) {
-        tracer->flow_finish(std::string("flow.") + message.type_name(), id_,
-                            now_ns, message.trace.span_id,
-                            {{"trace", message.trace.trace_id}});
-      }
-    }
-  }
-
-  void run() {
-    set_log_thread_node(static_cast<int>(id_));
-    // Node-local arena recycling: payload buffers allocated while handling
-    // this node's messages come from (and return to) this pool, so the
-    // steady-state data path stops malloc'ing. A restarted node gets a
-    // fresh pool; the old one folds its counters on close.
-    erasure::BufferPool buffer_pool;
-    erasure::BufferPool::ScopedInstall pool_installed(buffer_pool);
-    auto next_gc = Clock::now() + config_->gc_period;
-    auto next_snapshot = Clock::now() + config_->snapshot_period;
-    while (true) {
-      std::deque<std::function<void()>> batch;
-      std::vector<Inbound> inbound;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        auto deadline = next_gc;
-        if (journal_ != nullptr) deadline = std::min(deadline, next_snapshot);
-        for (const auto& timer : timers_) {
-          deadline = std::min(deadline, timer.at);
-        }
-        cv_.wait_until(lock, deadline, [this] {
-          return stop_ || !tasks_.empty() ||
-                 inbox_ready_.load(std::memory_order_acquire);
-        });
-        if (stop_) return;
-        batch.swap(tasks_);
-      }
-      {
-        std::lock_guard<std::mutex> lock(inbox_mu_);
-        inbound.swap(inbox_);
-        inbox_ready_.store(false, std::memory_order_release);
-      }
-      for (auto& task : batch) task();
-      if (!inbound.empty()) {
-        if (m_mailbox_depth_ != nullptr) {
-          // Depth the drain found waiting: queue buildup shows here before
-          // it becomes tail latency.
-          m_mailbox_depth_->set(static_cast<std::int64_t>(inbound.size()));
-        }
-        for (Inbound& in : inbound) {
-          if (m_queue_wait_ != nullptr) {
-            m_queue_wait_->observe(static_cast<std::uint64_t>(
-                to_ns(Clock::now()) - to_ns(in.enqueued_at)));
-          }
-          sim::MessagePtr message;
-          if (in.message != nullptr) {
-            message = std::move(in.message);
-          } else if (m_deserialize_ != nullptr) {
-            const SimTime t0 = to_ns(Clock::now());
-            message = deserialize_message(std::move(in.frame));
-            m_deserialize_->observe(
-                static_cast<std::uint64_t>(to_ns(Clock::now()) - t0));
-          } else {
-            message = deserialize_message(std::move(in.frame));
-          }
-          trace_deliver(in.from, *message);
-          server_.dispatch_message(in.from, std::move(message));
-        }
-        // One Apply/Encoding fixpoint for the whole batch.
-        server_.run_internal_actions();
-      }
-      // Due timers (fan-out timeouts etc.).
-      const auto now = Clock::now();
-      for (std::size_t i = 0; i < timers_.size();) {
-        if (timers_[i].at <= now) {
-          auto fn = std::move(timers_[i].fn);
-          timers_.erase(timers_.begin() + static_cast<std::ptrdiff_t>(i));
-          fn();
-        } else {
-          ++i;
-        }
-      }
-      if (now >= next_gc) {
-        server_.run_garbage_collection();
-        next_gc = now + config_->gc_period;
-      }
-      if (journal_ != nullptr && now >= next_snapshot) {
-        journal_->save_snapshot(server_.capture_image());
-        next_snapshot = now + config_->snapshot_period;
-      }
-    }
-  }
-
-  struct Timer {
-    Clock::time_point at;
-    std::function<void()> fn;
-  };
-
-  NodeId id_;
-  const ThreadedClusterConfig* config_;
-  ThreadedCluster* cluster_;
-  NodeTransport transport_;
-  Server server_;
-
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool stop_ = false;
-  std::vector<Timer> timers_;  // node-thread only
-
-  // Phase-decomposition handles (null when metrics are off).
-  obs::Histogram* m_queue_wait_ = nullptr;
-  obs::Histogram* m_deserialize_ = nullptr;
-  obs::Gauge* m_mailbox_depth_ = nullptr;
-
-  persist::Journal* journal_ = nullptr;
-  /// False between stop() and recover_and_restart(): peers' frames for
-  /// this node are dropped at the router, like a dead NIC.
-  std::atomic<bool> accepting_{true};
-  /// Caller-thread only, and only while the node thread is down.
-  bool muted_ = false;
-
-  // Inbound-message inbox (see class comment).
-  std::mutex inbox_mu_;
-  std::vector<Inbound> inbox_;
-  std::atomic<bool> inbox_ready_{false};
-
-  friend class ThreadedCluster;
-};
-
 ThreadedCluster::ThreadedCluster(erasure::CodePtr code,
                                  ThreadedClusterConfig config)
     : code_(std::move(code)), config_(std::move(config)) {
@@ -347,9 +33,15 @@ ThreadedCluster::ThreadedCluster(erasure::CodePtr code,
     m_serialize_ = &config_.obs.metrics->histogram("phase.serialize_ns");
   }
   const std::size_t n = code_->num_servers();
+  AutomatonHostOptions options;
+  options.gc_period = config_.gc_period;
+  options.snapshot_period = config_.snapshot_period;
+  options.obs = config_.obs;
+  Outbound* outbound = this;
   nodes_.reserve(n);
   for (NodeId s = 0; s < n; ++s) {
-    nodes_.push_back(std::make_unique<Node>(s, code_, config_, this));
+    nodes_.push_back(std::make_unique<AutomatonHost>(s, code_, config_.server,
+                                                     outbound, options));
   }
   if (config_.persistence != nullptr) {
     journals_.reserve(n);
@@ -395,44 +87,32 @@ void ThreadedCluster::note_send(NodeId from, NodeId to,
   }
 }
 
-void ThreadedCluster::route(NodeId from, NodeId to, sim::MessagePtr message) {
+erasure::Buffer ThreadedCluster::serialize(const sim::Message& message) {
+  if (m_serialize_ == nullptr) return serialize_message_frame(message);
+  const SimTime t0 = to_ns(Clock::now());
+  erasure::Buffer frame = serialize_message_frame(message);
+  m_serialize_->observe(static_cast<std::uint64_t>(to_ns(Clock::now()) - t0));
+  return frame;
+}
+
+void ThreadedCluster::send(NodeId from, NodeId to, sim::MessagePtr message) {
   CEC_CHECK(to < nodes_.size());
   note_send(from, to, *message);
   if (!nodes_[to]->accepting()) return;  // crashed node: frame is lost
-  if (config_.serialize_messages) {
-    const SimTime t0 = m_serialize_ != nullptr ? to_ns(Clock::now()) : 0;
-    auto frame = serialize_message_frame(*message);
-    if (m_serialize_ != nullptr) {
-      m_serialize_->observe(
-          static_cast<std::uint64_t>(to_ns(Clock::now()) - t0));
-    }
-    nodes_[to]->deliver_frame(from, std::move(frame));
-  } else {
-    nodes_[to]->deliver_direct(from, std::move(message));
-  }
+  nodes_[to]->deliver(from, serialize(*message));
 }
 
-void ThreadedCluster::multicast_route(
-    NodeId from, std::span<const NodeId> targets,
-    const std::function<sim::MessagePtr()>& make) {
+void ThreadedCluster::multicast(NodeId from, std::span<const NodeId> targets,
+                                const std::function<sim::MessagePtr()>& make) {
   if (targets.empty()) return;
-  if (!config_.serialize_messages) {
-    for (NodeId to : targets) route(from, to, make());
-    return;
-  }
-  // Serialize once; every destination mailbox shares the frame's arena.
+  // Serialize once; every destination inbox shares the frame's arena.
   const sim::MessagePtr message = make();
-  const SimTime t0 = m_serialize_ != nullptr ? to_ns(Clock::now()) : 0;
-  const erasure::Buffer frame = serialize_message_frame(*message);
-  if (m_serialize_ != nullptr) {
-    m_serialize_->observe(
-        static_cast<std::uint64_t>(to_ns(Clock::now()) - t0));
-  }
+  const erasure::Buffer frame = serialize(*message);
   for (NodeId to : targets) {
     CEC_CHECK(to < nodes_.size());
     note_send(from, to, *message);
     if (!nodes_[to]->accepting()) continue;  // crashed node: frame is lost
-    nodes_[to]->deliver_frame(from, frame);
+    nodes_[to]->deliver(from, frame);
   }
 }
 
@@ -449,7 +129,8 @@ void ThreadedCluster::start_node(NodeId id) {
                 "start_node requires ThreadedClusterConfig::persistence");
   CEC_CHECK_MSG(!nodes_[id]->accepting(),
                 "start_node: node " << id << " is running");
-  nodes_[id]->recover_and_restart();
+  nodes_[id]->restore(journals_[id]->load());
+  nodes_[id]->start();
 }
 
 bool ThreadedCluster::node_running(NodeId id) const {
@@ -488,7 +169,7 @@ void ThreadedCluster::read_async(
   CEC_CHECK_MSG(nodes_[at]->accepting(),
                 "read: node " << at << " is stopped");
   const OpId opid = next_opid_.fetch_add(1);
-  Node* node = nodes_[at].get();
+  AutomatonHost* node = nodes_[at].get();
   node->post([node, client, opid, object, done = std::move(done)] {
     node->server().client_read(
         client, opid, object,

@@ -1,10 +1,9 @@
 // ThreadedCluster: CausalEC on real threads.
 //
 // The same Server automaton that runs on the discrete-event simulator,
-// deployed with one OS thread per server node: mutex-guarded FIFO
-// mailboxes as channels, wall-clock garbage-collection timers, and
-// (optionally) every message passed through the binary codec so real bytes
-// cross the node boundary.
+// deployed with one runtime::AutomatonHost thread per server node: every
+// message passes through the binary codec into the destination host's
+// inbox, so real bytes cross the node boundary.
 //
 // The client API is thread-safe and marshals every operation onto the
 // owning node's thread (the automaton itself is single-threaded by
@@ -13,12 +12,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "causalec/config.h"
@@ -26,15 +22,13 @@
 #include "erasure/code.h"
 #include "persist/backend.h"
 #include "persist/journal.h"
+#include "runtime/automaton_host.h"
 
 namespace causalec::runtime {
 
 struct ThreadedClusterConfig {
   ServerConfig server;
   std::chrono::milliseconds gc_period{20};
-  /// Pass every inter-node message through serialize/deserialize, so the
-  /// bytes that cross the boundary are the codec's output.
-  bool serialize_messages = true;
 
   /// Observability sinks shared by every node thread: servers record spans
   /// and server.* metrics (timestamps are steady-clock wall time), and the
@@ -52,11 +46,11 @@ struct ThreadedClusterConfig {
   std::chrono::milliseconds snapshot_period{200};
 };
 
-class ThreadedCluster {
+class ThreadedCluster : private Outbound {
  public:
   explicit ThreadedCluster(erasure::CodePtr code,
                            ThreadedClusterConfig config = {});
-  ~ThreadedCluster();
+  ~ThreadedCluster() override;
 
   ThreadedCluster(const ThreadedCluster&) = delete;
   ThreadedCluster& operator=(const ThreadedCluster&) = delete;
@@ -101,22 +95,24 @@ class ThreadedCluster {
   bool node_running(NodeId id) const;
 
  private:
-  class Node;
+  /// Channel between nodes: serializes through the codec into the
+  /// destination host's inbox; frames to a stopped node are lost.
+  void send(NodeId from, NodeId to, sim::MessagePtr message) override;
 
-  /// Channel between nodes: optionally passes through the codec.
-  void route(NodeId from, NodeId to, sim::MessagePtr message);
-
-  /// Broadcast channel: when serializing, encodes the frame once and shares
-  /// the bytes across every destination mailbox.
-  void multicast_route(NodeId from, std::span<const NodeId> targets,
-                       const std::function<sim::MessagePtr()>& make);
+  /// Broadcast channel: encodes the frame once and shares the bytes across
+  /// every destination inbox.
+  void multicast(NodeId from, std::span<const NodeId> targets,
+                 const std::function<sim::MessagePtr()>& make) override;
 
   /// Per-hop observability (net.* counters, msg.send trace event).
   void note_send(NodeId from, NodeId to, const sim::Message& message);
 
+  /// Serializes `message`, timing it into phase.serialize_ns.
+  erasure::Buffer serialize(const sim::Message& message);
+
   erasure::CodePtr code_;
   ThreadedClusterConfig config_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<std::unique_ptr<AutomatonHost>> nodes_;
   std::vector<std::unique_ptr<persist::Journal>> journals_;
   std::atomic<OpId> next_opid_{1};
   /// Broadcast-serialize phase histogram (null when metrics are off).

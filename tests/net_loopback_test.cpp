@@ -4,6 +4,7 @@
 // under all three sanitizers); tests/net_cluster_test.cpp is the separate
 // multi-process battery.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -15,9 +16,12 @@
 #include "consistency/causal_checker.h"
 #include "consistency/history.h"
 #include "erasure/codes.h"
+#include "net/client_proto.h"
+#include "net/frame.h"
 #include "net/net_client.h"
 #include "net/node_daemon.h"
 #include "net/process_cluster.h"
+#include "net/socket.h"
 
 namespace causalec::net {
 namespace {
@@ -41,6 +45,19 @@ erasure::Value value_for(ClientId client, std::uint64_t seq) {
     bytes[i] = static_cast<std::uint8_t>(client * 151 + seq * 7 + i);
   }
   return v;
+}
+
+/// Blocking write of a whole frame (MSG_NOSIGNAL: the peer may hang up).
+bool send_frame(int fd, std::span<const std::uint8_t> payload) {
+  const erasure::Buffer frame = encode_frame(payload);
+  std::size_t written = 0;
+  while (written < frame.size()) {
+    const auto n = ::send(fd, frame.data() + written, frame.size() - written,
+                          MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    written += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 /// One client session pinned to one server, recording every completed
@@ -243,6 +260,57 @@ TEST_F(NetLoopbackTest, SequentialSessionsSatisfyTheCheckers) {
     for (auto& s : sessions) {
       const auto object = static_cast<ObjectId>(round % kObjects);
       if ((round + s->id) % 3 == 0) {
+        ASSERT_TRUE(s->read_op(object));
+      } else {
+        ASSERT_TRUE(s->write_op(object));
+      }
+    }
+  }
+  ASSERT_TRUE(await_convergence(15s));
+
+  consistency::History history;
+  for (auto& s : sessions) {
+    for (auto& op : s->ops) history.record(std::move(op));
+  }
+  run_checkers(history, final_reads());
+  EXPECT_EQ(total_error_events(), 0u);
+}
+
+TEST_F(NetLoopbackTest, TruncatedPeerFrameIsDroppedAndServingContinues) {
+  // A raw connection to server 0 that says it is server 1, then sends a
+  // protocol frame cut short: an app header (type 1, wire size, object)
+  // with no tag or value behind it. Untrusted bytes must be dropped by the
+  // automaton, never abort it.
+  const auto addr = parse_host_port(endpoints_[0]);
+  ASSERT_TRUE(addr.has_value());
+  ScopedFd raw = connect_tcp_blocking(addr->first, addr->second, 2000);
+  ASSERT_TRUE(raw.valid());
+  Hello hello;
+  hello.role = PeerRole::kServer;
+  hello.node = 1;
+  ASSERT_TRUE(send_frame(raw.get(), encode_hello(hello)));
+  const std::vector<std::uint8_t> truncated = {1, 64, 0, 0, 0, 0, 0, 0, 0,
+                                               0, 0, 0, 0};
+  ASSERT_LT(truncated.front(), kClientProtoBase);
+  ASSERT_TRUE(send_frame(raw.get(), truncated));
+  // A client frame on a protocol link makes the shard close the
+  // connection; the EOF proves the truncated frame before it was already
+  // handed to the automaton.
+  ASSERT_TRUE(send_frame(raw.get(), encode_ping(Ping{7})));
+  std::uint8_t byte = 0;
+  EXPECT_LE(::recv(raw.get(), &byte, 1, 0), 0);
+
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (std::size_t i = 0; i < kServers; ++i) {
+    sessions.push_back(std::make_unique<Session>(
+        300 + static_cast<ClientId>(i), static_cast<NodeId>(i),
+        endpoints_[i]));
+    ASSERT_TRUE(sessions.back()->connected);
+  }
+  for (int round = 0; round < 6; ++round) {
+    for (auto& s : sessions) {
+      const auto object = static_cast<ObjectId>(round % kObjects);
+      if ((round + s->id) % 2 == 0) {
         ASSERT_TRUE(s->read_op(object));
       } else {
         ASSERT_TRUE(s->write_op(object));

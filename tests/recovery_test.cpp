@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "causalec/cluster.h"
 #include "erasure/codes.h"
 #include "obs/metrics.h"
 #include "persist/backend.h"
+#include "persist/journal.h"
 #include "runtime/threaded_cluster.h"
 #include "sim/latency.h"
 
@@ -367,6 +369,116 @@ TEST(RecoveryTest, RepeatedRecoveriesOfTheSameServer) {
   EXPECT_EQ(read_blocking(cluster, reader, 0), Value(8, 202));
   EXPECT_EQ(cluster.server(4).counters().error1_events, 0u);
   EXPECT_EQ(cluster.server(4).counters().error2_events, 0u);
+}
+
+// WAL replay must regenerate the internal reads whose answers it journaled
+// under their original opids. Parity server 3 checkpoints a converged
+// state (X0's encoded version already collected from its history), so the
+// next write of X0 re-encodes through an internal read and the WAL holds
+// that read's responses. Every restart must replay into the pre-crash
+// codeword, not one version behind with the responses ignored: the stale
+// codeword then asks up-to-date peers for a version they no longer hold
+// (Error2).
+TEST(RecoveryTest, WalReplayRestoresReencodeDoneByInternalRead) {
+  persist::MemoryBackend backend;
+  ClusterConfig config;
+  config.gc_period = 10 * kMillisecond;
+  config.persistence = &backend;
+  config.snapshot_period = 100 * kMillisecond;
+  config.server.strict_error_invariants = false;
+  Cluster cluster(erasure::make_systematic_rs(5, 3, 8),
+                  std::make_unique<sim::ConstantLatency>(5 * kMillisecond),
+                  config);
+  auto& writer = cluster.make_client(0);
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    writer.write(0, Value(8, static_cast<std::uint8_t>(1 + cycle)));
+    // settle() holds the snapshot timers, so the checkpoint is still the
+    // previous (converged) one and the WAL covers the whole re-encode.
+    cluster.settle();
+    ASSERT_TRUE(cluster.storage_converged());
+    const persist::ServerImage before = cluster.server(3).capture_image();
+    cluster.halt_server(3);
+    cluster.recover_server(3);
+    const persist::ServerImage after = cluster.server(3).capture_image();
+    EXPECT_EQ(after.vc, before.vc) << "cycle " << cycle;
+    EXPECT_EQ(after.m_tags, before.m_tags) << "cycle " << cycle;
+    EXPECT_EQ(after.m_val, before.m_val) << "cycle " << cycle;
+    cluster.settle();
+    cluster.run_for(150 * kMillisecond);  // a converged periodic checkpoint
+  }
+  EXPECT_GT(cluster.server(3).counters().internal_reads_started, 0u);
+  EXPECT_EQ(cluster.server(3).counters().error1_events, 0u);
+  EXPECT_EQ(cluster.server(3).counters().error2_events, 0u);
+  Client& reader = cluster.make_client(3);
+  EXPECT_EQ(read_blocking(cluster, reader, 0), Value(8, 2));
+}
+
+// Replay regenerates internal-read opids only from journaled inputs, so a
+// GC pass between checkpoint and crash shifts them. Parity server 3
+// checkpoints while X0's encoded version v1 is still in its history; GC
+// then collects it. The next writes of X0 and X1 each start an internal
+// read (opids C and C+1). Replay skips X0's read (v1 is in the restored
+// history) and hands opid C to X1's read, so X0's journaled responses now
+// carry the opid of an X1 read. They must miss it: decoding X1 from
+// symbols at X0's requested versions would store a wrong value under X1's
+// v1 tag. The re-issued post-restart read then restores the pre-crash
+// history and codeword exactly.
+TEST(RecoveryTest, ReplayedResponseWithDriftedOpidMissesTheOtherRead) {
+  persist::MemoryBackend backend;
+  ClusterConfig config;
+  config.gc_period = 1000 * kSecond;  // GC runs only where the test says
+  config.persistence = &backend;
+  config.snapshot_period = 1000 * kSecond;
+  config.server.strict_error_invariants = false;
+  Cluster cluster(erasure::make_systematic_rs(5, 3, 8),
+                  std::make_unique<sim::ConstantLatency>(5 * kMillisecond),
+                  config);
+  persist::Journal checkpoint(&backend, "s3");  // the cluster's key for 3
+  auto& writer = cluster.make_client(0);
+  const auto history_of = [&](const Server& s) {
+    std::vector<std::tuple<ObjectId, Tag, Value>> out;
+    for (auto& e : s.capture_image().history) {
+      out.emplace_back(e.object, e.tag, std::move(e.value));
+    }
+    return out;
+  };
+
+  writer.write(1, Value(8, 0x11));  // X1 v1, collected everywhere
+  cluster.settle();
+  ASSERT_TRUE(cluster.storage_converged());
+  writer.write(0, Value(8, 0x01));  // X0 v1, encoded but not collected
+  cluster.run_for(100 * kMillisecond);
+  ASSERT_EQ(cluster.server(3).history(0).size(), 1u);
+  checkpoint.save_snapshot(cluster.server(3).capture_image());
+  cluster.settle();  // GC is not journaled: X0 v1 is gone after the WAL
+  ASSERT_TRUE(cluster.storage_converged());
+
+  const std::uint64_t reads_before =
+      cluster.server(3).counters().internal_reads_started;
+  writer.write(0, Value(8, 0x02));
+  writer.write(1, Value(8, 0x12));
+  cluster.run_for(100 * kMillisecond);
+  ASSERT_EQ(cluster.server(3).counters().internal_reads_started,
+            reads_before + 2);
+  const persist::ServerImage before = cluster.server(3).capture_image();
+  const auto history_before = history_of(cluster.server(3));
+
+  cluster.halt_server(3);
+  cluster.recover_server(3);
+  cluster.run_for(100 * kMillisecond);
+  const persist::ServerImage after = cluster.server(3).capture_image();
+  EXPECT_EQ(after.vc, before.vc);
+  EXPECT_EQ(after.m_tags, before.m_tags);
+  EXPECT_EQ(after.m_val, before.m_val);
+  EXPECT_EQ(history_of(cluster.server(3)), history_before);
+  EXPECT_EQ(cluster.server(3).counters().error1_events, 0u);
+  EXPECT_EQ(cluster.server(3).counters().error2_events, 0u);
+
+  cluster.settle();
+  EXPECT_TRUE(cluster.storage_converged());
+  Client& reader = cluster.make_client(2);
+  EXPECT_EQ(read_blocking(cluster, reader, 0), Value(8, 0x02));
+  EXPECT_EQ(read_blocking(cluster, reader, 1), Value(8, 0x12));
 }
 
 // Satellite: the obs wiring. server.recoveries / server.catchup_bytes /

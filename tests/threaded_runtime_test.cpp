@@ -165,19 +165,6 @@ TEST(ThreadedRuntimeTest, ConcurrentReadsShareDecodePlanCache) {
   EXPECT_LE(stats.entries, stats.misses);
 }
 
-TEST(ThreadedRuntimeTest, DirectMessagePassingModeWorksToo) {
-  ThreadedClusterConfig config;
-  config.gc_period = 5ms;
-  config.serialize_messages = false;  // skip the codec
-  ThreadedCluster cluster(erasure::make_systematic_rs(4, 2, kValueBytes),
-                          config);
-  const Tag t = cluster.write(0, 1, 0, val(7));
-  ASSERT_TRUE(cluster.await_convergence(5000ms));
-  const auto [value, tag] = cluster.read(3, 2, 0);
-  EXPECT_EQ(value, val(7));
-  EXPECT_EQ(tag, t);
-}
-
 TEST(ThreadedRuntimeTest, ReadYourWritesAcrossOperations) {
   ThreadedClusterConfig config;
   ThreadedCluster cluster(erasure::make_systematic_rs(5, 3, kValueBytes),

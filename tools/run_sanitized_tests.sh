@@ -24,6 +24,11 @@
 #       # link, and the automaton inbox visible to tsan), and the
 #       # multi-process SIGKILL/rejoin tests (the forked servers are
 #       # instrumented too; tsan just cannot see across the processes)
+#   tools/run_sanitized_tests.sh thread -L runtime
+#       # the automaton-host battery: runtime::AutomatonHost drain order,
+#       # stop/restart and the malformed-frame drop policy, plus
+#       # ThreadedCluster on top of it (every producer-to-inbox handoff and
+#       # task post visible to tsan)
 #   tools/run_sanitized_tests.sh thread -L frontdoor
 #       # the front-door tier battery (DESIGN.md §12): hash-ring
 #       # properties, the frontier-gated edge cache, cluster-config
