@@ -84,14 +84,6 @@ class Code {
   /// Phi_i over a full object vector (values.size() == K).
   virtual Symbol encode(NodeId server, std::span<const Value> values) const = 0;
 
-  /// Gamma_{i,k}(symbol, old_value, new_value): transform server i's symbol
-  /// from an encoding with object k = old_value to one with object k =
-  /// new_value, leaving all other objects untouched. Either value may be
-  /// empty(), meaning the zero vector (the paper's bold-0).
-  virtual void reencode(NodeId server, Symbol& symbol, ObjectId object,
-                        std::span<const std::uint8_t> old_value,
-                        std::span<const std::uint8_t> new_value) const = 0;
-
   /// One pending re-encode of a batch: object `object` goes from old_value
   /// to new_value (either may be empty = the zero vector). The same object
   /// may appear more than once; entries compose in order.
@@ -101,16 +93,26 @@ class Code {
     std::span<const std::uint8_t> new_value;
   };
 
-  /// Apply a batch of re-encodes to server i's symbol. Equivalent to
-  /// calling reencode() once per entry in order; codes may override to
-  /// fuse the batch so each symbol row is touched once per batch instead
-  /// of once per entry (LinearCodeT routes through the kernel tier's
-  /// fused multi-axpy).
+  /// The one re-encode executor: apply a batch of re-encodes to server i's
+  /// symbol, equivalent to applying Gamma_{i,k} once per entry in order.
+  /// Codes fuse the batch so each symbol row is touched once per batch
+  /// instead of once per entry (LinearCodeT routes through the kernel
+  /// tier's fused multi-axpy). A batch that touches no row of server i's
+  /// encoding never calls Symbol::mutable_span(), so a shared symbol is
+  /// not copied.
   virtual void reencode_batch(NodeId server, Symbol& symbol,
-                              std::span<const ReencodeEntry> entries) const {
-    for (const ReencodeEntry& e : entries) {
-      reencode(server, symbol, e.object, e.old_value, e.new_value);
-    }
+                              std::span<const ReencodeEntry> entries) const = 0;
+
+  /// Gamma_{i,k}(symbol, old_value, new_value): transform server i's symbol
+  /// from an encoding with object k = old_value to one with object k =
+  /// new_value, leaving all other objects untouched. Either value may be
+  /// empty(), meaning the zero vector (the paper's bold-0). A one-entry
+  /// reencode_batch.
+  void reencode(NodeId server, Symbol& symbol, ObjectId object,
+                std::span<const std::uint8_t> old_value,
+                std::span<const std::uint8_t> new_value) const {
+    const ReencodeEntry entry{object, old_value, new_value};
+    reencode_batch(server, symbol, std::span<const ReencodeEntry>(&entry, 1));
   }
 
   /// Psi_S^{(k)}: decode object `object` from the symbols of the servers in

@@ -122,8 +122,6 @@ class LinearCodeT final : public Code {
     CEC_CHECK(values.size() == k_);
     const Matrix& c = matrix(server);
     Symbol out(symbol_bytes(server), 0);
-    std::vector<Elem> acc(elems_per_value_);
-    std::vector<Elem> val(elems_per_value_);
     std::vector<gf::AxpyTerm<F>> terms;
     for (std::size_t r = 0; r < c.rows(); ++r) {
       auto out_row =
@@ -139,7 +137,8 @@ class LinearCodeT final : public Code {
         }
         gf::axpy_batch<F>(out_row, std::span<const gf::AxpyTerm<F>>(terms));
       } else {
-        gf::set_zero<F>(std::span<Elem>(acc));
+        std::vector<Elem> acc(elems_per_value_, F::zero);
+        std::vector<Elem> val(elems_per_value_);
         for (std::size_t k = 0; k < k_; ++k) {
           if (c(r, k) == F::zero) continue;
           CEC_CHECK(values[k].size() == value_bytes_);
@@ -153,47 +152,8 @@ class LinearCodeT final : public Code {
     return out;
   }
 
-  void reencode(NodeId server, Symbol& symbol, ObjectId object,
-                std::span<const std::uint8_t> old_value,
-                std::span<const std::uint8_t> new_value) const override {
-    CEC_CHECK(server < num_servers());
-    CEC_CHECK(symbol.size() == symbol_bytes(server));
-    CEC_CHECK(object < k_);
-    CEC_CHECK(old_value.empty() || old_value.size() == value_bytes_);
-    CEC_CHECK(new_value.empty() || new_value.size() == value_bytes_);
-    const auto& steps = reencode_plans_[server][object];
-    if (steps.empty()) return;  // object not in X_i: symbol unchanged
-    // delta = new - old over F^d.
-    std::vector<Elem> delta(elems_per_value_, F::zero);
-    std::vector<Elem> tmp(elems_per_value_);
-    if (!new_value.empty()) {
-      detail::unpack<F>(new_value, std::span<Elem>(delta));
-    }
-    if (!old_value.empty()) {
-      detail::unpack<F>(old_value, std::span<Elem>(tmp));
-      gf::sub_into<F>(std::span<Elem>(delta), std::span<const Elem>(tmp));
-    }
-    if (gf::is_zero<F>(std::span<const Elem>(delta))) return;
-    std::vector<Elem> row(elems_per_value_);
-    const std::span<std::uint8_t> symbol_bytes = symbol.mutable_span();
-    for (const ReencodeStep& step : steps) {
-      auto row_bytes =
-          symbol_bytes.subspan(step.row * value_bytes_, value_bytes_);
-      detail::unpack<F>(row_bytes, std::span<Elem>(row));
-      gf::axpy<F>(std::span<Elem>(row), step.coeff,
-                  std::span<const Elem>(delta));
-      detail::pack<F>(std::span<const Elem>(row), row_bytes);
-    }
-  }
-
   void reencode_batch(NodeId server, Symbol& symbol,
                       std::span<const ReencodeEntry> entries) const override {
-    if (entries.size() <= 1) {
-      for (const ReencodeEntry& e : entries) {
-        reencode(server, symbol, e.object, e.old_value, e.new_value);
-      }
-      return;
-    }
     CEC_CHECK(server < num_servers());
     CEC_CHECK(symbol.size() == symbol_bytes(server));
     const auto& plans = reencode_plans_[server];
@@ -203,7 +163,13 @@ class LinearCodeT final : public Code {
       CEC_CHECK(e.new_value.empty() || e.new_value.size() == value_bytes_);
     }
     const std::size_t num_rows = matrix(server).rows();
-    const std::span<std::uint8_t> sym = symbol.mutable_span();
+    // The symbol's bytes are taken on the first row actually written, so a
+    // batch that touches no row of C_i leaves a shared symbol uncopied.
+    std::span<std::uint8_t> sym;
+    const auto row_bytes = [&](std::size_t r) {
+      if (sym.empty()) sym = symbol.mutable_span();
+      return sym.subspan(r * value_bytes_, value_bytes_);
+    };
 
     if constexpr (std::is_same_v<F, gf::GF256>) {
       // GF(2^8): values already are element vectors, and in characteristic
@@ -227,10 +193,9 @@ class LinearCodeT final : public Code {
           }
         }
         if (terms.empty()) continue;
-        gf::axpy_batch<F>(sym.subspan(r * value_bytes_, value_bytes_),
+        gf::axpy_batch<F>(row_bytes(r),
                           std::span<const gf::AxpyTerm<F>>(terms));
       }
-      return;
     } else {
       // Generic fields: materialize delta = new - old per entry (packing
       // is not the identity), then fuse the per-row axpys over the
@@ -267,11 +232,11 @@ class LinearCodeT final : public Code {
           }
         }
         if (terms.empty()) continue;
-        auto row_bytes = sym.subspan(r * value_bytes_, value_bytes_);
-        detail::unpack<F>(row_bytes, std::span<Elem>(row));
+        const std::span<std::uint8_t> out = row_bytes(r);
+        detail::unpack<F>(out, std::span<Elem>(row));
         gf::axpy_batch<F>(std::span<Elem>(row),
                           std::span<const gf::AxpyTerm<F>>(terms));
-        detail::pack<F>(std::span<const Elem>(row), row_bytes);
+        detail::pack<F>(std::span<const Elem>(row), out);
       }
     }
   }
@@ -553,8 +518,6 @@ class LinearCodeT final : public Code {
                            std::span<const NodeId> servers,
                            std::span<const Symbol> symbols) const {
     Symbol out(symbol_bytes(failed), 0);
-    std::vector<Elem> acc(elems_per_value_);
-    std::vector<Elem> row(elems_per_value_);
     std::vector<gf::AxpyTerm<F>> terms;
     for (std::size_t r = 0; r < plan.row_ops.size(); ++r) {
       const auto fetched_row = [&](const typename RepairPlanT::Op& op)
@@ -586,7 +549,8 @@ class LinearCodeT final : public Code {
         }
         gf::axpy_batch<F>(out_row, std::span<const gf::AxpyTerm<F>>(terms));
       } else {
-        gf::set_zero<F>(std::span<Elem>(acc));
+        std::vector<Elem> acc(elems_per_value_, F::zero);
+        std::vector<Elem> row(elems_per_value_);
         for (const auto& op : plan.row_ops[r]) {
           detail::unpack<F>(fetched_row(op), std::span<Elem>(row));
           gf::axpy<F>(std::span<Elem>(acc), op.coeff,
@@ -754,8 +718,8 @@ class LinearCodeT final : public Code {
   }
 
   /// Gamma_{i,k} flattened: the nonzero column-k coefficients of each
-  /// server matrix, bound to their rows, so reencode() touches exactly the
-  /// affected symbol rows without scanning the matrix.
+  /// server matrix, bound to their rows, so reencode_batch() touches exactly
+  /// the affected symbol rows without scanning the matrix.
   void build_reencode_plans() {
     reencode_plans_.resize(num_servers());
     for (NodeId s = 0; s < num_servers(); ++s) {

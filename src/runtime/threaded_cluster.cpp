@@ -62,15 +62,42 @@ ThreadedCluster::~ThreadedCluster() {
 
 std::size_t ThreadedCluster::num_servers() const { return nodes_.size(); }
 
+const ThreadedCluster::TypeCounters& ThreadedCluster::type_counters(
+    const char* type) {
+  for (const TypeCounters& slot : type_counters_) {
+    const char* seen = slot.type.load(std::memory_order_acquire);
+    if (seen == type) return slot;
+    if (seen == nullptr) break;
+  }
+  std::lock_guard<std::mutex> lock(type_counters_mu_);
+  obs::MetricsRegistry& metrics = *config_.obs.metrics;
+  if (m_messages_ == nullptr) {
+    m_messages_ = &metrics.counter("net.messages");
+    m_bytes_ = &metrics.counter("net.bytes");
+  }
+  for (TypeCounters& slot : type_counters_) {
+    const char* seen = slot.type.load(std::memory_order_relaxed);
+    if (seen == type) return slot;
+    if (seen != nullptr) continue;
+    slot.messages = &metrics.counter(std::string("net.messages.") + type);
+    slot.bytes = &metrics.counter(std::string("net.bytes.") + type);
+    slot.type.store(type, std::memory_order_release);
+    return slot;
+  }
+  CEC_CHECK_MSG(false, "note_send: more than " << type_counters_.size()
+                                               << " message types");
+  return type_counters_.front();
+}
+
 void ThreadedCluster::note_send(NodeId from, NodeId to,
                                 const sim::Message& message) {
   const std::size_t bytes = message.wire_bytes();
-  if (obs::MetricsRegistry* metrics = config_.obs.metrics) {
-    const char* type = message.type_name();
-    metrics->counter("net.messages").inc();
-    metrics->counter("net.bytes").inc(bytes);
-    metrics->counter(std::string("net.messages.") + type).inc();
-    metrics->counter(std::string("net.bytes.") + type).inc(bytes);
+  if (config_.obs.metrics != nullptr) {
+    const TypeCounters& counters = type_counters(message.type_name());
+    m_messages_->inc();
+    m_bytes_->inc(bytes);
+    counters.messages->inc();
+    counters.bytes->inc(bytes);
   }
   if (obs::Tracer* tracer = config_.obs.tracer) {
     const SimTime now_ns = to_ns(Clock::now());

@@ -10,10 +10,12 @@
 // design). Blocking calls must not be issued from a node thread.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -107,6 +109,18 @@ class ThreadedCluster : private Outbound {
   /// Per-hop observability (net.* counters, msg.send trace event).
   void note_send(NodeId from, NodeId to, const sim::Message& message);
 
+  /// The net.messages.<type> / net.bytes.<type> handles of one message
+  /// type, keyed by its type_name() pointer.
+  struct TypeCounters {
+    std::atomic<const char*> type{nullptr};
+    obs::Counter* messages = nullptr;
+    obs::Counter* bytes = nullptr;
+  };
+
+  /// The handles for `type`, resolved in the registry on the first send of
+  /// that type and read lock-free afterwards.
+  const TypeCounters& type_counters(const char* type);
+
   /// Serializes `message`, timing it into phase.serialize_ns.
   erasure::Buffer serialize(const sim::Message& message);
 
@@ -117,6 +131,14 @@ class ThreadedCluster : private Outbound {
   std::atomic<OpId> next_opid_{1};
   /// Broadcast-serialize phase histogram (null when metrics are off).
   obs::Histogram* m_serialize_ = nullptr;
+  /// net.* send counters (metrics on only). The totals and the per-type
+  /// slots are filled under type_counters_mu_ on the first send of each
+  /// type; a slot's `type` is published last, so a reader that finds its
+  /// type sees every handle set.
+  obs::Counter* m_messages_ = nullptr;
+  obs::Counter* m_bytes_ = nullptr;
+  std::array<TypeCounters, 16> type_counters_;
+  std::mutex type_counters_mu_;
 };
 
 }  // namespace causalec::runtime

@@ -179,6 +179,115 @@ TEST(ReencodeTest, NonSupportObjectIsNoOp) {
   EXPECT_EQ(sym, before);
 }
 
+/// Random reencode_batch calls checked against encode() of the final
+/// values. Batches hold 1-4 entries and may repeat an object; an entry
+/// either replaces the value, zeroes it (empty new), rewrites a zero value
+/// (empty old), or keeps it (old == new).
+template <typename MakeValue>
+void check_batch_equals_encode(const Code& code, Rng& rng, MakeValue mk) {
+  using Entry = Code::ReencodeEntry;
+  const std::size_t k = code.num_objects();
+  const std::size_t bytes = code.value_bytes();
+  const Value zero(bytes, 0);
+  std::vector<Value> current;  // what every symbol encodes right now
+  std::vector<bool> is_zero(k, false);
+  for (std::size_t i = 0; i < k; ++i) current.push_back(mk(rng));
+  std::vector<Symbol> symbols;
+  for (NodeId s = 0; s < code.num_servers(); ++s) {
+    symbols.push_back(code.encode(s, current));
+  }
+  for (int round = 0; round < 12; ++round) {
+    // Owns every value the entries point at until the batch has run
+    // (spans alias the values' arenas, not the Value handles).
+    std::vector<Value> keep;
+    std::vector<Entry> entries;
+    const std::size_t n = 1 + rng.next_u64() % 4;
+    for (std::size_t e = 0; e < n; ++e) {
+      const auto x = static_cast<ObjectId>(rng.next_u64() % k);
+      keep.push_back(current[x]);
+      const std::span<const std::uint8_t> old_value =
+          is_zero[x] ? std::span<const std::uint8_t>() : current[x].span();
+      switch (rng.next_u64() % 4) {
+        case 0:  // zero the object: empty new value
+          entries.push_back({x, old_value, {}});
+          current[x] = zero;
+          is_zero[x] = true;
+          break;
+        case 1:  // old == new: the identity
+          entries.push_back({x, old_value, old_value});
+          break;
+        default:  // a fresh value (from an empty old when currently zero)
+          current[x] = mk(rng);
+          is_zero[x] = false;
+          entries.push_back({x, old_value, current[x].span()});
+          keep.push_back(current[x]);
+          break;
+      }
+    }
+    for (NodeId s = 0; s < code.num_servers(); ++s) {
+      code.reencode_batch(s, symbols[s], entries);
+      ASSERT_EQ(symbols[s], code.encode(s, current))
+          << code.describe() << " server " << s << " round " << round;
+    }
+  }
+}
+
+/// A batch that touches no row of the server's encoding (objects outside
+/// X_i, or an entry whose old and new are both zero) must not unshare the
+/// symbol; one that does touch a row copies it and leaves the sharer alone.
+template <typename MakeValue>
+void check_untouched_symbol_stays_shared(const Code& code, Rng& rng,
+                                         MakeValue mk) {
+  using Entry = Code::ReencodeEntry;
+  std::vector<Value> values;
+  for (std::size_t i = 0; i < code.num_objects(); ++i) {
+    values.push_back(mk(rng));
+  }
+  for (NodeId s = 0; s < code.num_servers(); ++s) {
+    Symbol sym = code.encode(s, values);
+    const Symbol sharer = sym;
+    const Symbol before = code.encode(s, values);
+    std::vector<Entry> entries;
+    const Value next = mk(rng);
+    for (ObjectId x = 0; x < code.num_objects(); ++x) {
+      if (code.contains(s, x)) {
+        entries.push_back({x, {}, {}});
+      } else {
+        entries.push_back({x, values[x].span(), next.span()});
+      }
+    }
+    code.reencode_batch(s, sym, entries);
+    EXPECT_EQ(sym.data(), sharer.data()) << code.describe() << " server " << s;
+    EXPECT_EQ(sym, before);
+    if (code.support(s).empty()) continue;
+    const ObjectId x = code.support(s).front();
+    code.reencode(s, sym, x, values[x], next);
+    EXPECT_NE(sym.data(), sharer.data());
+    EXPECT_EQ(sharer, before);
+  }
+}
+
+TEST(ReencodeTest, BatchEqualsEncodeOfFinalValues) {
+  for (const std::size_t bytes : {8ul, 24ul, 1000ul, 65536ul}) {
+    Rng rng(bytes);
+    const auto gf256 = [bytes](Rng& r) { return random_value(r, bytes); };
+    const auto f257 = [bytes](Rng& r) { return random_value_f257(r, bytes); };
+    std::vector<CodePtr> gf256_codes = {make_six_dc_cross_object(bytes),
+                                        make_systematic_rs(6, 4, bytes),
+                                        make_paper_5_3_gf256(bytes)};
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      gf256_codes.push_back(make_random_code(seed, 6, 4, bytes, 0.5));
+    }
+    for (const CodePtr& code : gf256_codes) {
+      check_batch_equals_encode(*code, rng, gf256);
+      check_untouched_symbol_stays_shared(*code, rng, gf256);
+    }
+    const CodePtr paper_f257 = make_paper_5_3(bytes);
+    check_batch_equals_encode(*paper_f257, rng, f257);
+    check_untouched_symbol_stays_shared(*paper_f257, rng, f257);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Factories.
 // ---------------------------------------------------------------------------

@@ -163,6 +163,16 @@ TEST(ObsIntegrationTest, ThreadedClusterSharesSinksAcrossNodeThreads) {
   EXPECT_EQ(snap.counters.at("server.writes"), kWrites);
   EXPECT_EQ(snap.counters.at("server.reads"), 3u);
   EXPECT_GT(snap.counters.at("net.messages"), 0u);
+  // The per-type counters partition the totals (each send counts once in
+  // net.messages.<type> and once in net.messages, likewise for bytes).
+  std::uint64_t typed_messages = 0, typed_bytes = 0;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.starts_with("net.messages.")) typed_messages += value;
+    if (name.starts_with("net.bytes.")) typed_bytes += value;
+  }
+  EXPECT_GT(snap.counters.at("net.messages.app"), 0u);
+  EXPECT_EQ(typed_messages, snap.counters.at("net.messages"));
+  EXPECT_EQ(typed_bytes, snap.counters.at("net.bytes"));
   EXPECT_EQ(tracer.count("write", 'X'), kWrites);
   EXPECT_EQ(tracer.count("msg.send", 'i'),
             snap.counters.at("net.messages"));
