@@ -1,24 +1,8 @@
 #include "frontdoor/router_client.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-
-#include <cerrno>
 #include <utility>
-#include <vector>
 
 namespace causalec::frontdoor {
-
-bool RouterClient::connect(const std::string& host_port, int timeout_ms) {
-  const auto addr = net::parse_host_port(host_port);
-  if (!addr.has_value()) return false;
-  fd_ = net::connect_tcp_blocking(addr->first, addr->second, timeout_ms);
-  if (!fd_.valid()) return false;
-  net::Hello hello;
-  hello.role = net::PeerRole::kClient;
-  if (!send_payload(net::encode_hello(hello))) return false;
-  return true;
-}
 
 void RouterClient::advance_frontier(const VectorClock& vc) {
   if (vc.size() == 0) return;
@@ -38,15 +22,10 @@ std::optional<net::WriteResp> RouterClient::write(OpId opid, ObjectId object,
   req.object = object;
   req.frontier = frontier_;
   req.value = std::move(value);
-  if (!send_payload(net::encode_routed_write_req(req))) return std::nullopt;
-  auto frame = next_frame();
-  if (!frame.has_value()) return std::nullopt;
-  auto resp = net::decode_write_resp(std::move(*frame));
-  if (!resp.has_value() || resp->opid != opid) {
-    fail();
-    return std::nullopt;
-  }
-  advance_frontier(resp->vc);
+  auto resp = conn_.call(
+      net::encode_routed_write_req(req), net::decode_write_resp,
+      [opid](const net::WriteResp& r) { return r.opid == opid; });
+  if (resp.has_value()) advance_frontier(resp->vc);
   return resp;
 }
 
@@ -57,88 +36,21 @@ std::optional<net::RoutedReadResp> RouterClient::read(OpId opid,
   req.client = client_;
   req.object = object;
   req.frontier = frontier_;
-  if (!send_payload(net::encode_routed_read_req(req))) return std::nullopt;
-  auto frame = next_frame();
-  if (!frame.has_value()) return std::nullopt;
-  auto resp = net::decode_routed_read_resp(std::move(*frame));
-  if (!resp.has_value() || resp->opid != opid) {
-    fail();
-    return std::nullopt;
-  }
-  advance_frontier(resp->vc);
+  auto resp = conn_.call(
+      net::encode_routed_read_req(req), net::decode_routed_read_resp,
+      [opid](const net::RoutedReadResp& r) { return r.opid == opid; });
+  if (resp.has_value()) advance_frontier(resp->vc);
   return resp;
 }
 
 std::optional<net::Pong> RouterClient::ping(std::uint64_t token) {
-  if (!send_payload(net::encode_ping(net::Ping{token}))) return std::nullopt;
-  auto frame = next_frame();
-  if (!frame.has_value()) return std::nullopt;
-  auto resp = net::decode_pong(std::move(*frame));
-  if (!resp.has_value() || resp->token != token) {
-    fail();
-    return std::nullopt;
-  }
-  return resp;
+  return conn_.call(net::encode_ping(net::Ping{token}), net::decode_pong,
+                    [token](const net::Pong& r) { return r.token == token; });
 }
 
 std::optional<net::RouterStatsResp> RouterClient::router_stats() {
-  if (!send_payload(net::encode_router_stats_req())) return std::nullopt;
-  auto frame = next_frame();
-  if (!frame.has_value()) return std::nullopt;
-  auto resp = net::decode_router_stats_resp(std::move(*frame));
-  if (!resp.has_value()) {
-    fail();
-    return std::nullopt;
-  }
-  return resp;
+  return conn_.call(net::encode_router_stats_req(),
+                    net::decode_router_stats_resp);
 }
-
-bool RouterClient::send_payload(const std::vector<std::uint8_t>& payload) {
-  if (!fd_.valid()) return false;
-  const erasure::Buffer frame = net::encode_frame(payload);
-  std::size_t written = 0;
-  while (written < frame.size()) {
-    const auto n = ::send(fd_.get(), frame.data() + written,
-                          frame.size() - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail();
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-std::optional<erasure::Buffer> RouterClient::next_frame() {
-  while (fd_.valid()) {
-    if (auto payload = reader_.next(); payload.has_value()) {
-      return payload;
-    }
-    if (reader_.failed()) {
-      fail();
-      return std::nullopt;
-    }
-    pollfd pfd{fd_.get(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, io_timeout_ms_);
-    if (ready <= 0) {
-      if (ready < 0 && errno == EINTR) continue;
-      fail();  // timeout or poll error
-      return std::nullopt;
-    }
-    std::vector<std::uint8_t> chunk(64 * 1024);
-    const auto n = ::recv(fd_.get(), chunk.data(), chunk.size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      fail();  // peer closed or error
-      return std::nullopt;
-    }
-    chunk.resize(static_cast<std::size_t>(n));
-    reader_.feed(erasure::Buffer::adopt(std::move(chunk)));
-  }
-  return std::nullopt;
-}
-
-void RouterClient::fail() { fd_.reset(); }
 
 }  // namespace causalec::frontdoor

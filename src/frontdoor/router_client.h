@@ -21,8 +21,7 @@
 #include "common/types.h"
 #include "erasure/value.h"
 #include "net/client_proto.h"
-#include "net/frame.h"
-#include "net/socket.h"
+#include "net/framed_client.h"
 
 namespace causalec::frontdoor {
 
@@ -31,14 +30,16 @@ class RouterClient {
   explicit RouterClient(ClientId client) : client_(client) {}
 
   /// Connects ("host:port") and sends the client Hello. False on failure.
-  bool connect(const std::string& host_port, int timeout_ms = 5000);
+  bool connect(const std::string& host_port, int timeout_ms = 5000) {
+    return conn_.connect(host_port, timeout_ms);
+  }
 
-  bool connected() const { return fd_.valid(); }
+  bool connected() const { return conn_.connected(); }
   ClientId client() const { return client_; }
 
   /// Per-request receive timeout; a request that times out (or hits any
   /// socket/framing error) returns nullopt and closes the connection.
-  void set_io_timeout_ms(int ms) { io_timeout_ms_ = ms; }
+  void set_io_timeout_ms(int ms) { conn_.set_io_timeout_ms(ms); }
 
   // Each call issues one request and blocks for its response, then merges
   // the response clock into the session frontier. `opid` is a caller-chosen
@@ -58,15 +59,9 @@ class RouterClient {
   void advance_frontier(const VectorClock& vc);
 
  private:
-  bool send_payload(const std::vector<std::uint8_t>& payload);
-  std::optional<erasure::Buffer> next_frame();
-  void fail();
-
   ClientId client_;
-  int io_timeout_ms_ = 10'000;
   VectorClock frontier_;
-  net::ScopedFd fd_;
-  net::FrameReader reader_;
+  net::FramedClient conn_;
 };
 
 }  // namespace causalec::frontdoor

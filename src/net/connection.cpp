@@ -24,17 +24,36 @@ void Connection::open(FrameHandler on_frame, CloseHandler on_close) {
 }
 
 void Connection::send(erasure::Buffer frame) {
+  if (frame.empty()) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_) return;
+    const bool queued_ahead = !write_queue_.empty();
+    write_queue_.push_back(std::move(frame));
+    // Behind a queued frame: the loop's EPOLLOUT flush (armed, or about to
+    // be by the send that queued it) writes this one in turn.
+    if (queued_ahead) return;
+    if (write_queued()) {
+      if (write_queue_.empty()) return;
+    } else {
+      stop_writes();
+    }
+  }
+  // A partial write or an error: the loop thread subscribes EPOLLOUT for
+  // the remainder, or closes.
   if (loop_->on_loop_thread()) {
-    send_on_loop(std::move(frame));
+    flush_on_loop();
     return;
   }
   auto self = shared_from_this();
-  loop_->post([self, frame = std::move(frame)]() mutable {
-    self->send_on_loop(std::move(frame));
-  });
+  loop_->post([self] { self->flush_on_loop(); });
 }
 
 void Connection::close() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_writes();
+  }
   if (loop_->on_loop_thread()) {
     close_on_loop();
     return;
@@ -43,23 +62,25 @@ void Connection::close() {
   loop_->post([self] { self->close_on_loop(); });
 }
 
+bool Connection::closed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return closed_;
+}
+
 std::size_t Connection::write_backlog() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::size_t total = 0;
   for (const auto& b : write_queue_) total += b.size();
   return total - front_written_;
 }
 
-void Connection::send_on_loop(erasure::Buffer frame) {
-  if (closed_ || frame.empty()) return;
-  write_queue_.push_back(std::move(frame));
-  if (!flush_writes()) return;
-  if (!write_queue_.empty() && !want_write_) {
-    want_write_ = true;
-    loop_->update(fd_.get(), /*want_read=*/true, /*want_write=*/true);
-  }
+void Connection::stop_writes() {
+  closed_ = true;
+  write_queue_.clear();
+  front_written_ = 0;
 }
 
-bool Connection::flush_writes() {
+bool Connection::write_queued() {
   while (!write_queue_.empty()) {
     const erasure::Buffer& front = write_queue_.front();
     const std::size_t remaining = front.size() - front_written_;
@@ -73,25 +94,36 @@ bool Connection::flush_writes() {
       }
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    close_on_loop();
-    return false;
-  }
-  if (want_write_) {
-    want_write_ = false;
-    loop_->update(fd_.get(), /*want_read=*/true, /*want_write=*/false);
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   }
   return true;
 }
 
+void Connection::flush_on_loop() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!fd_.valid()) return;
+    if (!closed_ && write_queued()) {
+      const bool want = !write_queue_.empty();
+      if (want != want_write_) {
+        want_write_ = want;
+        loop_->update(fd_.get(), /*want_read=*/true, want);
+      }
+      return;
+    }
+  }
+  close_on_loop();
+}
+
 void Connection::handle_events(std::uint32_t events) {
-  if (closed_) return;
+  if (!fd_.valid()) return;
   if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
     close_on_loop();
     return;
   }
   if ((events & EPOLLOUT) != 0) {
-    if (!flush_writes()) return;
+    flush_on_loop();
+    if (!fd_.valid()) return;
   }
   if ((events & EPOLLIN) != 0) handle_readable();
 }
@@ -99,7 +131,7 @@ void Connection::handle_events(std::uint32_t events) {
 void Connection::handle_readable() {
   // Drain the socket. Each chunk is a fresh arena; frames wholly inside it
   // are delivered as zero-copy slices by the FrameReader.
-  while (!closed_) {
+  while (fd_.valid()) {
     std::vector<std::uint8_t> chunk(kReadChunkBytes);
     const ssize_t n = ::recv(fd_.get(), chunk.data(), chunk.size(), 0);
     if (n < 0) {
@@ -117,7 +149,7 @@ void Connection::handle_readable() {
     auto self = shared_from_this();  // a frame handler may close us
     while (auto payload = reader_.next()) {
       on_frame_(self, std::move(*payload));
-      if (closed_) return;
+      if (!fd_.valid()) return;
     }
     if (reader_.failed()) {
       // Framing violation (oversized length prefix): hostile or broken
@@ -130,16 +162,19 @@ void Connection::handle_readable() {
 }
 
 void Connection::close_on_loop() {
-  if (closed_) return;
-  closed_ = true;
-  loop_->unwatch(fd_.get());
-  fd_.reset();
-  write_queue_.clear();
+  // unwatch() drops the fd handler, which may hold the last reference.
+  auto self = shared_from_this();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!fd_.valid()) return;
+    stop_writes();
+    loop_->unwatch(fd_.get());
+    fd_.reset();
+  }
   // on_frame_ is deliberately left in place: close() may run from inside
   // it, and destroying an executing std::function is undefined behavior.
-  // The closed_ flag guarantees it is never invoked again.
+  // The invalid fd guarantees it is never invoked again.
   if (on_close_) {
-    auto self = shared_from_this();
     CloseHandler handler = std::move(on_close_);
     on_close_ = nullptr;
     handler(self);

@@ -118,7 +118,16 @@ void EventLoop::run() {
     const int n =
         ::epoll_wait(epoll_.get(), events, kMaxEvents, next_timeout_ms());
     if (n < 0 && errno != EINTR) break;
-    // Posted tasks first: they include connection sends that should hit
+    // Consume the wakeup before taking the posted tasks, never after: a
+    // post() made while the tasks below run must leave the eventfd set,
+    // or its task would sleep until the next fd event or the timeout.
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.fd == wakeup_.get()) {
+        drain_wakeup();
+        break;
+      }
+    }
+    // Posted tasks first: they include connection flushes that should hit
     // the socket before we go back to sleep.
     std::deque<std::function<void()>> tasks;
     {
@@ -128,10 +137,7 @@ void EventLoop::run() {
     for (auto& task : tasks) task();
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == wakeup_.get()) {
-        drain_wakeup();
-        continue;
-      }
+      if (fd == wakeup_.get()) continue;
       // A handler may unwatch (or close) any fd, including its own --
       // re-look-up per event so a stale fd is skipped.
       const auto it = handlers_.find(fd);

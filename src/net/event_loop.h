@@ -4,8 +4,9 @@
 // One EventLoop is one *shard* of a causalec_server daemon: it owns a
 // SO_REUSEPORT listening socket, every connection the kernel load-balanced
 // onto it, and the outbound peer links assigned to it. All fd callbacks,
-// timers, and posted tasks run on the loop thread, so per-connection state
-// needs no locking; the only cross-thread surface is post().
+// timers, and posted tasks run on the loop thread; the loop's own
+// cross-thread surface is post(). (Connection::send is the one socket
+// write made off the loop; it locks the connection's write side.)
 #pragma once
 
 #include <atomic>

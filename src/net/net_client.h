@@ -14,8 +14,7 @@
 #include "common/types.h"
 #include "erasure/value.h"
 #include "net/client_proto.h"
-#include "net/frame.h"
-#include "net/socket.h"
+#include "net/framed_client.h"
 
 namespace causalec::net {
 
@@ -24,14 +23,16 @@ class NetClient {
   explicit NetClient(ClientId client) : client_(client) {}
 
   /// Connects ("host:port") and sends the client Hello. False on failure.
-  bool connect(const std::string& host_port, int timeout_ms = 5000);
+  bool connect(const std::string& host_port, int timeout_ms = 5000) {
+    return conn_.connect(host_port, timeout_ms);
+  }
 
-  bool connected() const { return fd_.valid(); }
+  bool connected() const { return conn_.connected(); }
   ClientId client() const { return client_; }
 
   /// Per-request receive timeout; a request that times out (or hits any
   /// socket/framing error) returns nullopt and closes the connection.
-  void set_io_timeout_ms(int ms) { io_timeout_ms_ = ms; }
+  void set_io_timeout_ms(int ms) { conn_.set_io_timeout_ms(ms); }
 
   // Each call issues one request and blocks for its response. `opid` is a
   // caller-chosen correlation id echoed back by the daemon.
@@ -42,15 +43,8 @@ class NetClient {
   std::optional<StatsResp> stats();
 
  private:
-  bool send_payload(const std::vector<std::uint8_t>& payload);
-  /// The next complete payload frame, or nullopt on timeout/error.
-  std::optional<erasure::Buffer> next_frame();
-  void fail();
-
   ClientId client_;
-  int io_timeout_ms_ = 10'000;
-  ScopedFd fd_;
-  FrameReader reader_;
+  FramedClient conn_;
 };
 
 }  // namespace causalec::net

@@ -11,7 +11,11 @@
 //   * one runtime::AutomatonHost thread hosting the single-threaded
 //     Server: shard threads hand it peer frames (dropped, not fatal, when
 //     malformed) and client requests as tasks; after every drain it
-//     retries the parked routed requests.
+//     retries the parked routed requests. It writes each client reply
+//     inline through Connection::send (the shard loop only finishes what
+//     the socket did not take), while peer frames are posted to the
+//     owning shard's PeerLink, so the automaton never pays for the
+//     fan-out's socket writes before its reply.
 //
 // Durability: a non-empty data_dir attaches a persist::DirBackend journal;
 // on start, existing durable state is restored with the transport muted

@@ -20,8 +20,12 @@
 #       # concurrent lookup threads
 #   tools/run_sanitized_tests.sh thread -L net
 #       # the real-socket battery (DESIGN.md §11): frame reassembly sweep,
-#       # in-process daemons over loopback TCP (every shard loop, peer
-#       # link, and the automaton inbox visible to tsan), and the
+#       # net_connection_test (EventLoop wakeups; Connection::send from
+#       # many threads and the loop at once, inline vs. queued/EPOLLOUT
+#       # writes, send racing close -- the connection's write-side lock is
+#       # what tsan checks here), in-process daemons over loopback TCP
+#       # (every shard loop, peer link, the automaton inbox and the
+#       # automaton thread's inline reply writes visible to tsan), and the
 #       # multi-process SIGKILL/rejoin tests (the forked servers are
 #       # instrumented too; tsan just cannot see across the processes)
 #   tools/run_sanitized_tests.sh thread -L runtime
