@@ -21,7 +21,9 @@
 //   * slices keep the whole arena alive: a 4-byte slice of a 4 MiB frame
 //     pins the frame. Callers that outlive the frame by design (e.g. the
 //     HistoryList) are fine because protocol values are sliced from frames
-//     sized proportionally to them.
+//     sized proportionally to them: the socket receive path copies every
+//     frame into an arena of its own (net::FrameReader), never leaving
+//     several frames -- or a whole read -- in one shared arena.
 //
 // Every fresh arena (alloc / copy_of / adopt) counts toward alloc_stats();
 // pool-recycled arenas count under `recycled` instead of `allocations`, so

@@ -129,35 +129,30 @@ void Connection::handle_events(std::uint32_t events) {
 }
 
 void Connection::handle_readable() {
-  // Drain the socket. Each chunk is a fresh arena; frames wholly inside it
-  // are delivered as zero-copy slices by the FrameReader.
+  // Drain the socket. recv_frames copies each completed frame into its own
+  // arena before the handler sees it, so the loop thread's receive buffer
+  // is free again for the next read.
+  auto self = shared_from_this();  // a frame handler may close us
   while (fd_.valid()) {
-    std::vector<std::uint8_t> chunk(kReadChunkBytes);
-    const ssize_t n = ::recv(fd_.get(), chunk.data(), chunk.size(), 0);
+    const ssize_t n =
+        recv_frames(fd_.get(), reader_, [&](erasure::Buffer payload) {
+          // Frames behind a close() made by the handler are dropped.
+          if (fd_.valid()) on_frame_(self, std::move(payload));
+        });
+    if (!fd_.valid()) return;
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       close_on_loop();
       return;
     }
-    if (n == 0) {  // orderly peer shutdown
+    if (n == 0 || reader_.failed()) {
+      // Orderly peer shutdown, or a framing violation (oversized length
+      // prefix): a hostile or broken peer; drop the connection rather
+      // than guess at resync.
       close_on_loop();
       return;
     }
-    const bool socket_drained = static_cast<std::size_t>(n) < chunk.size();
-    chunk.resize(static_cast<std::size_t>(n));
-    reader_.feed(erasure::Buffer::adopt(std::move(chunk)));
-    auto self = shared_from_this();  // a frame handler may close us
-    while (auto payload = reader_.next()) {
-      on_frame_(self, std::move(*payload));
-      if (!fd_.valid()) return;
-    }
-    if (reader_.failed()) {
-      // Framing violation (oversized length prefix): hostile or broken
-      // peer; drop the connection rather than guess at resync.
-      close_on_loop();
-      return;
-    }
-    if (socket_drained) return;
+    if (static_cast<std::size_t>(n) < kRecvBufferBytes) return;  // drained
   }
 }
 

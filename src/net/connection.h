@@ -1,6 +1,11 @@
 // One established TCP connection on an event loop: owns the fd, the
-// FrameReader (connection-owned read arenas feeding the zero-copy codec),
-// and the outbound write queue.
+// FrameReader and the outbound write queue.
+//
+// Reads go through recv_frames (net/frame.h): the loop thread's reused
+// receive buffer, out of which every completed frame is copied once into
+// an exact-size arena from the thread's BufferPool (NodeDaemon and the
+// Router install one per shard loop), so frames the handler drops are
+// recycled and a frame the automaton keeps pins only its own bytes.
 //
 // Reads, EPOLLOUT flushing and the close handler run on the owning loop's
 // thread. send() and close() may be called from any thread: send() writes
@@ -91,10 +96,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::size_t front_written_ = 0;
   bool want_write_ = false;  // EPOLLOUT currently subscribed
   bool closed_ = false;      // no more writes; the fd may still be open
-
-  /// Socket read chunk size: big enough that the common protocol frame
-  /// (4 KiB value + tags) lands in one chunk and is delivered zero-copy.
-  static constexpr std::size_t kReadChunkBytes = 64 * 1024;
 };
 
 }  // namespace causalec::net

@@ -1,6 +1,8 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 
 namespace causalec::net {
 
@@ -18,89 +20,42 @@ erasure::Buffer encode_frame(std::span<const std::uint8_t> payload) {
   return out;
 }
 
-void FrameReader::feed(erasure::Buffer chunk) {
-  if (failed() || chunk.empty()) return;
-  chunks_.push_back(std::move(chunk));
-}
-
-std::size_t FrameReader::buffered_bytes() const {
-  // Counts everything fed but not yet returned as a payload: unconsumed
-  // chunk bytes plus whatever next() already drained into the header /
-  // assembly staging (a partially received frame is still "buffered").
-  std::size_t total = header_have_ + assembly_.size();
-  for (const auto& c : chunks_) total += c.size();
-  return total - front_pos_;
-}
-
-std::size_t FrameReader::drain_into(std::span<std::uint8_t> out) {
-  std::size_t copied = 0;
-  while (copied < out.size() && !chunks_.empty()) {
-    const erasure::Buffer& front = chunks_.front();
-    const std::size_t avail = front.size() - front_pos_;
-    const std::size_t take = std::min(avail, out.size() - copied);
-    std::memcpy(out.data() + copied, front.data() + front_pos_, take);
-    copied += take;
-    front_pos_ += take;
-    if (front_pos_ == front.size()) {
-      chunks_.pop_front();
-      front_pos_ = 0;
-    }
-  }
-  return copied;
-}
-
-std::optional<erasure::Buffer> FrameReader::next() {
+std::optional<erasure::Buffer> FrameReader::take(
+    std::span<const std::uint8_t>& bytes) {
   if (failed()) return std::nullopt;
-  // Finish (or start) the length prefix. It is tiny, so copying it out of
-  // the chunk queue is free; this is also what lets a prefix split across
-  // two reads reassemble without special cases.
   if (header_have_ < kFrameHeaderBytes) {
-    header_have_ += drain_into(
-        std::span(header_ + header_have_, kFrameHeaderBytes - header_have_));
+    if (bytes.empty()) return std::nullopt;
+    const std::size_t n =
+        std::min(kFrameHeaderBytes - header_have_, bytes.size());
+    std::memcpy(header_ + header_have_, bytes.data(), n);
+    header_have_ += n;
+    bytes = bytes.subspan(n);
     if (header_have_ < kFrameHeaderBytes) return std::nullopt;
-    body_len_ = 0;
-    for (int i = 3; i >= 0; --i) {
-      body_len_ = (body_len_ << 8) | header_[i];
-    }
-    if (body_len_ > kMaxFrameBytes) {
+    std::size_t len = 0;
+    for (int i = 3; i >= 0; --i) len = (len << 8) | header_[i];
+    if (len > kMaxFrameBytes) {
       fail("frame length exceeds kMaxFrameBytes");
       return std::nullopt;
     }
+    body_ = len == 0 ? erasure::Buffer{} : erasure::Buffer::alloc_uninit(len);
+    body_have_ = 0;
   }
-
-  if (!assembling_) {
-    // Fast path: the whole body sits inside the front chunk -- return a
-    // zero-copy slice of its arena.
-    if (!chunks_.empty() &&
-        chunks_.front().size() - front_pos_ >= body_len_) {
-      erasure::Buffer payload = chunks_.front().slice(front_pos_, body_len_);
-      front_pos_ += body_len_;
-      if (front_pos_ == chunks_.front().size()) {
-        chunks_.pop_front();
-        front_pos_ = 0;
-      }
-      header_have_ = 0;
-      return payload;
-    }
-    // The body spans chunks (or has not fully arrived): fall back to the
-    // one-copy assembly arena, sized exactly once.
-    assembling_ = true;
-    assembly_.clear();
-    assembly_.reserve(body_len_);
+  const std::size_t n = std::min(body_.size() - body_have_, bytes.size());
+  if (n != 0) {
+    std::memcpy(body_.mutable_data() + body_have_, bytes.data(), n);
+    body_have_ += n;
+    bytes = bytes.subspan(n);
   }
-
-  // Append whatever is buffered to the assembly until the body is whole.
-  while (assembly_.size() < body_len_) {
-    const std::size_t want = body_len_ - assembly_.size();
-    const std::size_t old = assembly_.size();
-    assembly_.resize(old + want);
-    const std::size_t got = drain_into(std::span(assembly_.data() + old, want));
-    assembly_.resize(old + got);
-    if (got == 0) return std::nullopt;  // need another feed()
-  }
-  assembling_ = false;
+  if (body_have_ < body_.size()) return std::nullopt;  // needs a later feed
   header_have_ = 0;
-  return erasure::Buffer::adopt(std::move(assembly_));
+  body_have_ = 0;
+  return std::move(body_);
+}
+
+std::span<std::uint8_t> recv_buffer() {
+  thread_local const std::unique_ptr<std::uint8_t[]> buffer =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kRecvBufferBytes);
+  return {buffer.get(), kRecvBufferBytes};
 }
 
 }  // namespace causalec::net

@@ -8,21 +8,22 @@
 //     try_deserialize_message because the peer is untrusted;
 //   * bytes >= 64: a client/control message (net/client_proto.h).
 //
-// FrameReader turns an arbitrary sequence of read() chunks back into
-// payload frames with zero-copy reassembly: a frame that lands entirely
-// inside one chunk's arena is returned as a Buffer slice of that arena (no
-// copy -- the refcount keeps the arena alive while the decoded message's
-// payload views do); only a frame that spans chunks is assembled, exactly
-// once, into an exact-size arena. The codec's zero-copy decode then slices
-// whichever arena the frame ended up in, so a completed in-arena frame
-// flows from the socket to HistoryList without a single payload copy.
+// Receiving copies each frame exactly once. recv_frames() reads the socket
+// into the calling thread's reused receive buffer, and FrameReader copies
+// every payload out of it into an exact-size arena of its own, taken from
+// the thread's BufferPool when one is installed. The codec's zero-copy
+// decode then slices that arena, so a value that outlives its frame (a
+// HistoryList or InQueue entry) pins its own frame's bytes and nothing
+// else, and a recv allocates nothing beyond the frames it completes.
 #pragma once
 
+#include <sys/socket.h>
+
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "erasure/buffer.h"
 
@@ -41,48 +42,65 @@ erasure::Buffer encode_frame(std::span<const std::uint8_t> payload);
 
 class FrameReader {
  public:
-  /// Hand the reader the next chunk of stream bytes. The chunk is consumed
-  /// incrementally as next() is called; completed frames inside it alias
-  /// its arena.
-  void feed(erasure::Buffer chunk);
-
-  /// Convenience for tests: wraps raw bytes in a fresh arena.
-  void feed_copy(std::span<const std::uint8_t> bytes) {
-    feed(erasure::Buffer::copy_of(bytes));
+  /// Consumes the next stream bytes and calls `on_frame(erasure::Buffer)`
+  /// for every payload frame they complete, in stream order. Each payload
+  /// is copied into its own arena, allocated as soon as the frame's length
+  /// prefix is known, and handed over before the next one is allocated;
+  /// only a split length prefix is ever staged. Nothing keeps a reference
+  /// to `bytes`.
+  template <typename OnFrame>
+  void feed(std::span<const std::uint8_t> bytes, OnFrame&& on_frame) {
+    while (auto payload = take(bytes)) on_frame(std::move(*payload));
   }
-
-  /// The next complete payload frame, or nullopt when more bytes are
-  /// needed (or the reader has failed).
-  std::optional<erasure::Buffer> next();
 
   bool failed() const { return !error_.empty(); }
   const std::string& error() const { return error_; }
 
-  /// Bytes buffered but not yet returned as frames (diagnostics/tests).
-  std::size_t buffered_bytes() const;
+  /// Bytes of the frame in progress fed so far, length prefix included
+  /// (diagnostics/tests).
+  std::size_t buffered_bytes() const { return header_have_ + body_have_; }
 
  private:
+  /// Consumes `bytes` from the front until one frame completes (returned)
+  /// or they run out (nullopt; also once the reader has failed).
+  std::optional<erasure::Buffer> take(std::span<const std::uint8_t>& bytes);
+
   void fail(const char* what) {
     if (error_.empty()) error_ = what;
   }
-  /// Pops up to `out.size()` bytes off the chunk queue into `out`;
-  /// returns the number copied.
-  std::size_t drain_into(std::span<std::uint8_t> out);
 
-  std::deque<erasure::Buffer> chunks_;  // unconsumed stream suffix
-  std::size_t front_pos_ = 0;           // consumed prefix of chunks_[0]
-
-  // Current frame in progress. header_have_ < kFrameHeaderBytes means the
-  // length prefix itself is still arriving; afterwards body_len_ is known.
+  // Frame in progress. header_have_ < kFrameHeaderBytes means the length
+  // prefix itself is still arriving; afterwards body_ is the frame's
+  // exact-size arena, of which body_have_ bytes have arrived.
   std::uint8_t header_[kFrameHeaderBytes] = {};
   std::size_t header_have_ = 0;
-  std::size_t body_len_ = 0;
-  // Spanning-frame assembly: exact-size arena being filled (empty when the
-  // current frame has not needed assembly).
-  std::vector<std::uint8_t> assembly_;
-  bool assembling_ = false;
+  erasure::Buffer body_;
+  std::size_t body_have_ = 0;
 
   std::string error_;
 };
+
+/// Size of the per-thread receive buffer: the most one recv_frames() call
+/// reads from the socket.
+inline constexpr std::size_t kRecvBufferBytes = 64 * 1024;
+
+/// The calling thread's receive buffer (kRecvBufferBytes, allocated once
+/// per thread and never zero-filled).
+std::span<std::uint8_t> recv_buffer();
+
+/// One recv() from `fd` into the calling thread's receive buffer, fed to
+/// `reader` (see FrameReader::feed for `on_frame`). Returns recv()'s
+/// result: the bytes read, 0 at orderly peer shutdown, or -1 with errno
+/// set.
+template <typename OnFrame>
+ssize_t recv_frames(int fd, FrameReader& reader, OnFrame&& on_frame) {
+  const std::span<std::uint8_t> buffer = recv_buffer();
+  const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
+  if (n > 0) {
+    reader.feed(buffer.first(static_cast<std::size_t>(n)),
+                std::forward<OnFrame>(on_frame));
+  }
+  return n;
+}
 
 }  // namespace causalec::net

@@ -14,7 +14,9 @@ bool FramedClient::connect(const std::string& host_port, int timeout_ms) {
   if (!addr.has_value()) return false;
   fd_ = connect_tcp_blocking(addr->first, addr->second, timeout_ms);
   if (!fd_.valid()) return false;
-  reader_ = FrameReader{};  // nothing of an earlier connection carries over
+  // Nothing of an earlier connection carries over.
+  reader_ = FrameReader{};
+  frames_.clear();
   Hello hello;
   hello.role = PeerRole::kClient;
   return send_payload(encode_hello(hello));
@@ -39,12 +41,10 @@ bool FramedClient::send_payload(const std::vector<std::uint8_t>& payload) {
 
 std::optional<erasure::Buffer> FramedClient::next_frame() {
   while (fd_.valid()) {
-    if (auto payload = reader_.next(); payload.has_value()) {
+    if (!frames_.empty()) {
+      erasure::Buffer payload = std::move(frames_.front());
+      frames_.pop_front();
       return payload;
-    }
-    if (reader_.failed()) {
-      fail();
-      return std::nullopt;
     }
     pollfd pfd{fd_.get(), POLLIN, 0};
     const int ready = ::poll(&pfd, 1, io_timeout_ms_);
@@ -53,15 +53,14 @@ std::optional<erasure::Buffer> FramedClient::next_frame() {
       fail();  // timeout or poll error
       return std::nullopt;
     }
-    std::vector<std::uint8_t> chunk(64 * 1024);
-    const auto n = ::recv(fd_.get(), chunk.data(), chunk.size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      fail();  // peer closed or error
+    const auto n = recv_frames(fd_.get(), reader_, [this](erasure::Buffer p) {
+      frames_.push_back(std::move(p));
+    });
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0 || reader_.failed()) {
+      fail();  // peer closed, socket error or framing violation
       return std::nullopt;
     }
-    chunk.resize(static_cast<std::size_t>(n));
-    reader_.feed(erasure::Buffer::adopt(std::move(chunk)));
   }
   return std::nullopt;
 }

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,6 +58,8 @@ class FramedClient {
   int io_timeout_ms_ = 10'000;
   ScopedFd fd_;
   FrameReader reader_;
+  /// Frames received but not yet returned by next_frame().
+  std::deque<erasure::Buffer> frames_;
 };
 
 }  // namespace causalec::net

@@ -5,7 +5,11 @@
 // ConnectionSend drives net::Connection::send from many threads at once:
 // per-sender FIFO with exact bytes, the inline write on the caller's thread,
 // the partial-write -> queue -> EPOLLOUT flush path, and send() racing
-// close(). FramedClient pins that a reconnect starts a clean stream.
+// close(). ConnectionReceive pins the receive path: with the loop thread's
+// BufferPool installed, every received frame sits in an arena of its own
+// and, once the handler drops them, the pool recycles those arenas instead
+// of allocating per recv. FramedClient pins that a reconnect starts a
+// clean stream.
 // tools/run_sanitized_tests.sh runs it under tsan (-L net).
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -15,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -23,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "erasure/arena_pool.h"
 #include "erasure/buffer.h"
 #include "net/client_proto.h"
 #include "net/connection.h"
@@ -139,20 +145,18 @@ class FarEnd {
 
   /// The next payload, or nullopt on EOF, error or timeout.
   std::optional<erasure::Buffer> next(int timeout_ms = 5000) {
-    while (true) {
-      if (auto payload = reader_.next()) return payload;
+    while (frames_.empty()) {
       if (eof_ || reader_.failed()) return std::nullopt;
       pollfd pfd{fd_.get(), POLLIN, 0};
       if (::poll(&pfd, 1, timeout_ms) <= 0) return std::nullopt;
-      std::vector<std::uint8_t> chunk(64 * 1024);
-      const auto n = ::recv(fd_.get(), chunk.data(), chunk.size(), 0);
-      if (n <= 0) {
-        eof_ = true;
-        continue;
-      }
-      chunk.resize(static_cast<std::size_t>(n));
-      reader_.feed(erasure::Buffer::adopt(std::move(chunk)));
+      const auto n = recv_frames(fd_.get(), reader_, [&](erasure::Buffer p) {
+        frames_.push_back(std::move(p));
+      });
+      if (n <= 0) eof_ = true;
     }
+    erasure::Buffer payload = std::move(frames_.front());
+    frames_.pop_front();
+    return payload;
   }
 
   bool eof() const { return eof_; }
@@ -162,6 +166,7 @@ class FarEnd {
  private:
   ScopedFd fd_;
   FrameReader reader_;
+  std::deque<erasure::Buffer> frames_;
   bool eof_ = false;
 };
 
@@ -423,6 +428,127 @@ TEST(ConnectionSend, SendRacingCloseFiresTheCloseHandlerOnce) {
   }
 }
 
+/// Payload `seq` of the receive-path test: [seq LE u32][filler], ~1 KiB.
+std::vector<std::uint8_t> small_payload(std::uint32_t seq) {
+  std::vector<std::uint8_t> payload(960 + (seq * 37u) % 128u);
+  for (int b = 0; b < 4; ++b) {
+    payload[static_cast<std::size_t>(b)] =
+        static_cast<std::uint8_t>(seq >> (8 * b));
+  }
+  for (std::size_t i = 4; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(seq * 11u + i);
+  }
+  return payload;
+}
+
+bool small_payload_matches(const erasure::Buffer& payload,
+                           std::uint32_t seq) {
+  const std::vector<std::uint8_t> expected = small_payload(seq);
+  return payload.size() == expected.size() &&
+         std::equal(expected.begin(), expected.end(), payload.data());
+}
+
+/// Frames [first, first + count) as a byte stream cut into bursts of
+/// `per_burst` frames; each burst goes out in one send so the receiver's
+/// recvs coalesce many frames.
+std::vector<std::vector<std::uint8_t>> small_bursts(std::uint32_t first,
+                                                    std::uint32_t count,
+                                                    std::uint32_t per_burst) {
+  std::vector<std::vector<std::uint8_t>> bursts;
+  for (std::uint32_t seq = first; seq < first + count; ++seq) {
+    if ((seq - first) % per_burst == 0) bursts.emplace_back();
+    const erasure::Buffer frame = encode_frame(small_payload(seq));
+    bursts.back().insert(bursts.back().end(), frame.data(),
+                         frame.data() + frame.size());
+  }
+  return bursts;
+}
+
+void send_all(int fd, const std::vector<std::uint8_t>& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const auto n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                          MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+TEST(ConnectionReceive, EachFrameGetsItsOwnPooledArena) {
+  // As in NodeDaemon: the loop thread recycles arenas through its pool.
+  erasure::BufferPool pool;
+  EventLoop loop;
+  loop.start();
+  run_on_loop(loop, [&] { pool.install(); });
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ScopedFd near(fds[0]);
+  ScopedFd far(fds[1]);
+  ASSERT_TRUE(set_nonblocking(near.get()));
+
+  // Loop thread only, apart from `received`.
+  bool keep = true;
+  std::vector<erasure::Buffer> kept;
+  std::uint32_t next_seq = 0;
+  std::uint32_t mismatches = 0;
+  std::atomic<std::uint32_t> received{0};
+  auto conn = std::make_shared<Connection>(&loop, std::move(near));
+  StopOnExit stopper{loop};
+  run_on_loop(loop, [&] {
+    conn->open(
+        [&](const std::shared_ptr<Connection>&, erasure::Buffer payload) {
+          if (!small_payload_matches(payload, next_seq)) ++mismatches;
+          ++next_seq;
+          if (keep) kept.push_back(std::move(payload));
+          received.fetch_add(1, std::memory_order_release);
+        },
+        [](const std::shared_ptr<Connection>&) {});
+  });
+  const auto send_and_wait = [&](std::uint32_t first, std::uint32_t count,
+                                 const std::vector<std::vector<std::uint8_t>>&
+                                     bursts) {
+    for (const auto& burst : bursts) send_all(far.get(), burst);
+    const auto deadline = Clock::now() + 10s;
+    while (received.load(std::memory_order_acquire) < first + count &&
+           Clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    ASSERT_EQ(received.load(), first + count);
+  };
+
+  // Phase 1, keep every payload: none may share an arena with another
+  // (or with anything else), so a value the automaton keeps pins only
+  // its own frame.
+  constexpr std::uint32_t kFrames = 2000;
+  constexpr std::uint32_t kPerBurst = 48;  // ~49 KiB per send
+  send_and_wait(0, kFrames, small_bursts(0, kFrames, kPerBurst));
+  run_on_loop(loop, [&] {
+    EXPECT_EQ(mismatches, 0u);
+    ASSERT_EQ(kept.size(), kFrames);
+    std::uint32_t shared = 0;
+    for (const auto& payload : kept) shared += payload.use_count() != 1;
+    EXPECT_EQ(shared, 0u) << "payloads sharing an arena";
+    kept.clear();
+    keep = false;
+  });
+
+  // Phase 2, drop each payload in the handler: after a warm-up the pool
+  // serves every frame, so the receive path mallocs (nearly) nothing.
+  constexpr std::uint32_t kWarmup = 200;
+  send_and_wait(kFrames, kWarmup, small_bursts(kFrames, kWarmup, kPerBurst));
+  const std::uint32_t first = kFrames + kWarmup;
+  const auto bursts = small_bursts(first, kFrames, kPerBurst);
+  const erasure::Buffer::AllocStats before = erasure::Buffer::alloc_stats();
+  send_and_wait(first, kFrames, bursts);
+  const erasure::Buffer::AllocStats after = erasure::Buffer::alloc_stats();
+  EXPECT_LE(after.allocations - before.allocations, 4u);
+  EXPECT_GE(after.recycled - before.recycled, kFrames);
+  run_on_loop(loop, [&] {
+    EXPECT_EQ(mismatches, 0u);
+    conn->close();
+  });
+}
+
 /// Accepts one client on `listener`, reads what it sent (Hello + one
 /// request), answers with `reply` and closes.
 void answer_once(int listener, const std::vector<std::uint8_t>& reply) {
@@ -440,8 +566,8 @@ void answer_once(int listener, const std::vector<std::uint8_t>& reply) {
     std::uint8_t chunk[4096];
     const auto n = ::recv(fd.get(), chunk, sizeof(chunk), 0);
     ASSERT_GT(n, 0);
-    requests.feed_copy({chunk, static_cast<std::size_t>(n)});
-    while (requests.next().has_value()) ++frames;
+    requests.feed({chunk, static_cast<std::size_t>(n)},
+                  [&](erasure::Buffer) { ++frames; });
   }
   ASSERT_EQ(::send(fd.get(), reply.data(), reply.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(reply.size()));

@@ -1,17 +1,27 @@
 // Frame reassembly property tests: every protocol message type pushed
 // through the length-prefixed framer, split at EVERY byte boundary and
 // coalesced back-to-back, must decode byte-identically to the in-process
-// codec path -- including the optional trace-context trailer. Plus the
-// malformed-frame battery: truncated, oversized, bad type byte, hostile
-// counts; remote bytes must never abort the process.
+// codec path -- including the optional trace-context trailer. A seeded
+// random-stream battery (frames of 0..200 KiB, sizes at the 64 KiB receive
+// buffer +- 1, random cuts, a byte-at-a-time tail, an oversized prefix
+// mid-stream, a stream cut mid-frame) pins that the reader returns exactly
+// the frames sent, each in an arena of its own, or latches failed(), and
+// never holds more than the frame in progress. Plus the malformed-frame
+// battery: truncated, oversized, bad type byte, hostile counts; remote
+// bytes must never abort the process.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "causalec/codec.h"
 #include "causalec/messages.h"
 #include "common/random.h"
+#include "erasure/arena_pool.h"
 #include "erasure/buffer.h"
 #include "net/client_proto.h"
 #include "net/frame.h"
@@ -97,13 +107,10 @@ std::vector<sim::MessagePtr> sample_messages(bool traced) {
 /// completed payload.
 std::vector<Buffer> reassemble_split(const Buffer& frame, std::size_t split) {
   FrameReader reader;
-  if (split > 0) reader.feed(frame.slice(0, split));
   std::vector<Buffer> payloads;
-  while (auto p = reader.next()) payloads.push_back(std::move(*p));
-  if (split < frame.size()) {
-    reader.feed(frame.slice(split, frame.size() - split));
-  }
-  while (auto p = reader.next()) payloads.push_back(std::move(*p));
+  const auto keep = [&](Buffer p) { payloads.push_back(std::move(p)); };
+  reader.feed(frame.span().first(split), keep);
+  reader.feed(frame.span().subspan(split), keep);
   EXPECT_FALSE(reader.failed()) << reader.error();
   EXPECT_EQ(reader.buffered_bytes(), 0u);
   return payloads;
@@ -159,8 +166,8 @@ TEST(NetFrameSweep, ByteAtATimeReassembly) {
     FrameReader reader;
     std::vector<Buffer> payloads;
     for (std::size_t i = 0; i < frame.size(); ++i) {
-      reader.feed(frame.slice(i, 1));
-      while (auto p = reader.next()) payloads.push_back(std::move(*p));
+      reader.feed(frame.span().subspan(i, 1),
+                  [&](Buffer p) { payloads.push_back(std::move(p)); });
     }
     ASSERT_EQ(payloads.size(), 1u) << message->type_name();
     EXPECT_TRUE(payload_equals(payloads[0], expected))
@@ -180,16 +187,15 @@ TEST(NetFrameCoalesced, AllTypesInOneChunkDecodeInOrder) {
     stream.insert(stream.end(), frame.data(), frame.data() + frame.size());
   }
   FrameReader reader;
-  reader.feed(Buffer::adopt(std::move(stream)));
+  std::vector<Buffer> payloads;
+  reader.feed(stream, [&](Buffer p) { payloads.push_back(std::move(p)); });
+  ASSERT_EQ(payloads.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    auto payload = reader.next();
-    ASSERT_TRUE(payload.has_value()) << "frame " << i;
-    EXPECT_TRUE(payload_equals(*payload, expected[i])) << "frame " << i;
-    const sim::MessagePtr decoded = try_deserialize_message(*payload);
+    EXPECT_TRUE(payload_equals(payloads[i], expected[i])) << "frame " << i;
+    const sim::MessagePtr decoded = try_deserialize_message(payloads[i]);
     ASSERT_NE(decoded, nullptr);
     EXPECT_STREQ(decoded->type_name(), messages[i]->type_name());
   }
-  EXPECT_FALSE(reader.next().has_value());
   EXPECT_EQ(reader.buffered_bytes(), 0u);
 }
 
@@ -223,22 +229,140 @@ TEST(NetFrameCoalesced, CoalescedStreamSplitAtEveryBoundary) {
   }
 }
 
-// -- Zero-copy: whole frames inside one chunk are slices, not copies --------
+// -- Seeded random streams ---------------------------------------------------
 
-TEST(NetFrameZeroCopy, WholeFrameInOneChunkAliasesTheChunkArena) {
-  Rng rng(8);
-  const AppMessage app(0, random_value(rng, 64), random_tag(rng, 5),
-                       model());
-  const Buffer frame = encode_frame(serialize_message(app));
-  FrameReader reader;
-  reader.feed(frame);
-  const std::uint64_t before = Buffer::alloc_stats().allocations;
-  const auto payload = reader.next();
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(Buffer::alloc_stats().allocations, before)
-      << "completed frame inside one chunk must be a zero-copy slice";
-  EXPECT_GE(payload->data(), frame.data());
-  EXPECT_LE(payload->data() + payload->size(), frame.data() + frame.size());
+/// Length-prefixed frames back to back, with each frame's extent.
+struct Stream {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<std::size_t> starts;  // offset of each frame's length prefix
+  std::vector<std::size_t> ends;    // one past each frame's last byte
+};
+
+void append_frame(Stream& s, std::vector<std::uint8_t> payload) {
+  s.starts.push_back(s.bytes.size());
+  const Buffer frame = encode_frame(payload);
+  s.bytes.insert(s.bytes.end(), frame.data(), frame.data() + frame.size());
+  s.ends.push_back(s.bytes.size());
+  s.payloads.push_back(std::move(payload));
+}
+
+/// Frames of random size in [0, 200 KiB] in random order, mixed with the
+/// sizes at one receive buffer: payloads and whole frames of 64 KiB +- 1.
+Stream random_stream(Rng& rng) {
+  std::vector<std::size_t> sizes = {0, 1, 3, 4, 5};
+  for (const std::size_t edge :
+       {kRecvBufferBytes, kRecvBufferBytes - kFrameHeaderBytes}) {
+    sizes.insert(sizes.end(), {edge - 1, edge, edge + 1});
+  }
+  for (int i = 0; i < 20; ++i) sizes.push_back(rng.next_below(200 * 1024 + 1));
+  for (std::size_t i = sizes.size() - 1; i > 0; --i) {
+    std::swap(sizes[i], sizes[rng.next_below(i + 1)]);
+  }
+  Stream s;
+  for (const std::size_t size : sizes) {
+    std::vector<std::uint8_t> payload(size);
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
+    append_frame(s, std::move(payload));
+  }
+  return s;
+}
+
+/// Feeds `stream.bytes[0, cut)` in random pieces: mostly up to one receive
+/// buffer, often a few bytes (so length prefixes split), and the last
+/// `tail` bytes one at a time. Every payload is checked as it arrives and
+/// then dropped; after every piece the reader must hold exactly the bytes
+/// of the frame in progress -- never more than one pending frame, and
+/// never a whole receive buffer. Returns how many frames came out.
+std::size_t feed_in_pieces(FrameReader& reader, const Stream& stream,
+                           std::size_t cut, std::size_t tail, Rng& rng) {
+  std::size_t got = 0;
+  std::size_t pos = 0;
+  while (pos < cut) {
+    std::size_t piece = rng.next_below(4) == 0
+                            ? 1 + rng.next_below(8)
+                            : 1 + rng.next_below(kRecvBufferBytes);
+    if (cut - pos <= tail) piece = 1;
+    piece = std::min(piece, cut - pos);
+    reader.feed({stream.bytes.data() + pos, piece}, [&](Buffer p) {
+      ASSERT_LT(got, stream.payloads.size());
+      EXPECT_TRUE(payload_equals(p, stream.payloads[got])) << "frame " << got;
+      EXPECT_LE(p.use_count(), 1) << "frame " << got << " shares an arena";
+      ++got;
+    });
+    pos += piece;
+    if (reader.failed()) return got;
+    std::size_t complete = 0;
+    while (complete < stream.ends.size() && stream.ends[complete] <= pos) {
+      ++complete;
+    }
+    EXPECT_EQ(got, complete) << "after " << pos << " bytes";
+    const std::size_t pending =
+        complete < stream.starts.size() ? pos - stream.starts[complete] : 0;
+    EXPECT_EQ(reader.buffered_bytes(), pending) << "after " << pos << " bytes";
+  }
+  return got;
+}
+
+TEST(NetFrameStream, SeededRandomStreamsReturnExactlyTheFramesSent) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const Stream stream = random_stream(rng);
+    // Odd seeds recycle arenas through a pool, so a byte the reader fails
+    // to write shows up as a stale byte of an earlier frame.
+    erasure::BufferPool pool;
+    std::optional<erasure::BufferPool::ScopedInstall> installed;
+    if (seed % 2 == 1) installed.emplace(pool);
+    FrameReader reader;
+    EXPECT_EQ(feed_in_pieces(reader, stream, stream.bytes.size(),
+                             /*tail=*/1 + rng.next_below(300), rng),
+              stream.payloads.size());
+    EXPECT_FALSE(reader.failed()) << reader.error();
+    EXPECT_EQ(reader.buffered_bytes(), 0u);
+  }
+}
+
+TEST(NetFrameStream, OversizedLengthPrefixMidStreamLatchesTheFailure) {
+  for (std::uint64_t seed = 11; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Stream stream = random_stream(rng);
+    const std::size_t valid = stream.payloads.size();
+    const std::uint64_t len =
+        seed % 2 == 0 ? kMaxFrameBytes + 1 : std::uint64_t{0xffffffff};
+    for (int i = 0; i < 4; ++i) {
+      stream.bytes.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+    }
+    // Whatever follows -- even well-formed frames -- is never delivered.
+    append_frame(stream, {1, 2, 3});
+    FrameReader reader;
+    EXPECT_EQ(feed_in_pieces(reader, stream, stream.bytes.size(),
+                             /*tail=*/rng.next_below(16), rng),
+              valid);
+    EXPECT_TRUE(reader.failed());
+    int after = 0;
+    reader.feed(stream.bytes, [&](Buffer) { ++after; });
+    EXPECT_EQ(after, 0);
+  }
+}
+
+TEST(NetFrameStream, StreamTruncatedMidFrameHoldsOnlyThatFrame) {
+  for (std::uint64_t seed = 21; seed <= 26; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const Stream stream = random_stream(rng);
+    // Cut strictly inside one frame, possibly inside its length prefix;
+    // the checks in feed_in_pieces pin what is held after every piece.
+    const std::size_t frame = rng.next_below(stream.payloads.size());
+    const std::size_t cut =
+        stream.starts[frame] + 1 +
+        rng.next_below(stream.ends[frame] - stream.starts[frame] - 1);
+    FrameReader reader;
+    EXPECT_EQ(feed_in_pieces(reader, stream, cut, /*tail=*/64, rng), frame);
+    EXPECT_FALSE(reader.failed());
+    EXPECT_EQ(reader.buffered_bytes(), cut - stream.starts[frame]);
+  }
 }
 
 // -- Malformed input --------------------------------------------------------
@@ -251,8 +375,9 @@ TEST(NetFrameMalformed, OversizedLengthPrefixFailsTheReader) {
         static_cast<std::uint8_t>(huge >> (8 * i));
   }
   FrameReader reader;
-  reader.feed(Buffer::adopt(std::move(header)));
-  EXPECT_FALSE(reader.next().has_value());
+  int frames = 0;
+  reader.feed(header, [&](Buffer) { ++frames; });
+  EXPECT_EQ(frames, 0);
   EXPECT_TRUE(reader.failed());
   EXPECT_FALSE(reader.error().empty());
 }
@@ -262,13 +387,15 @@ TEST(NetFrameMalformed, TruncatedBodyStaysPendingWithoutFailing) {
   const DelMessage del(0, random_tag(rng, 5), 1, false, model());
   const Buffer frame = encode_frame(serialize_message(del));
   FrameReader reader;
-  reader.feed(frame.slice(0, frame.size() - 3));
-  EXPECT_FALSE(reader.next().has_value());
+  int frames = 0;
+  const auto count = [&](Buffer) { ++frames; };
+  reader.feed(frame.span().first(frame.size() - 3), count);
+  EXPECT_EQ(frames, 0);
   EXPECT_FALSE(reader.failed());
   EXPECT_GT(reader.buffered_bytes(), 0u);
   // The missing tail arrives: the frame completes.
-  reader.feed(frame.slice(frame.size() - 3, 3));
-  EXPECT_TRUE(reader.next().has_value());
+  reader.feed(frame.span().last(3), count);
+  EXPECT_EQ(frames, 1);
 }
 
 TEST(NetFrameMalformed, BadTypeByteNeverAborts) {

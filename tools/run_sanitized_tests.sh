@@ -20,10 +20,16 @@
 #       # concurrent lookup threads
 #   tools/run_sanitized_tests.sh thread -L net
 #       # the real-socket battery (DESIGN.md §11): frame reassembly sweep,
-#       # net_connection_test (EventLoop wakeups; Connection::send from
-#       # many threads and the loop at once, inline vs. queued/EPOLLOUT
-#       # writes, send racing close -- the connection's write-side lock is
-#       # what tsan checks here), in-process daemons over loopback TCP
+#       # net_frame_test's seeded random-stream battery NetFrameStream.*
+#       # (frames of 0..200 KiB cut at random points, oversized and
+#       # truncated streams: under asan every copy into a frame's arena is
+#       # bounds-checked), net_connection_test (EventLoop wakeups;
+#       # Connection::send from many threads and the loop at once, inline
+#       # vs. queued/EPOLLOUT writes, send racing close -- the connection's
+#       # write-side lock is what tsan checks here; and
+#       # ConnectionReceive.EachFrameGetsItsOwnPooledArena, one pooled
+#       # arena per received frame, recycled once the handler drops it),
+#       # in-process daemons over loopback TCP
 #       # (every shard loop, peer link, the automaton inbox and the
 #       # automaton thread's inline reply writes visible to tsan), and the
 #       # multi-process SIGKILL/rejoin tests (the forked servers are
